@@ -9,26 +9,16 @@ from pathlib import Path
 import numpy as np
 
 from .alloc import realize
-from .config import SystemConfig
 from .env import DEFAULT_PENALTY
-from .harness import SCHEMES, bench_runtime, default_grid, evaluate_policy, \
-    grid_oracle, held_out_scenarios, latency_growth_exponent, load_config, \
-    load_policy, parse_grid, sweep_pbt, train_scheme, validate_se
+from .harness import SCHEMES, bench_runtime, default_grid, grid_oracle, \
+    held_out_scenarios, latency_growth_exponent, load_config, load_policy, \
+    parse_grid, policy_action, sweep_pbt, train_scheme, validate_se
 from .netgen import generate_scenario, load_scenario, save_scenario
-from .perf import REPORT_CSV_HEADER, report_csv_row
-from .ppo import PpoHyper
-
-
-def _load(config_path) -> dict:
-    if config_path is None:
-        return {"system": SystemConfig(), "ppo": PpoHyper(),
-                "episode_length": 200, "feature_mode": "db_standardized",
-                "master_seed": 0}
-    return load_config(config_path)
+from .perf import REPORT_CSV_HEADER, evaluate, report_csv_row
 
 
 def cmd_gen(args) -> int:
-    conf = _load(args.config)
+    conf = load_config(args.config)
     sc = generate_scenario(conf["system"], args.seed)
     save_scenario(sc, args.out)
     print(f"wrote scenario seed={args.seed} to {args.out}")
@@ -36,10 +26,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    conf = _load(args.config)
-    hyper: PpoHyper = conf["ppo"]
+    conf = load_config(args.config)
     seed = args.seed if args.seed is not None else conf["master_seed"]
-    ckpt = train_scheme(conf["system"], args.scheme, hyper,
+    ckpt = train_scheme(conf["system"], args.scheme, conf["ppo"],
                         master_seed=seed, out_dir=args.out,
                         episode_length=conf["episode_length"],
                         feature_mode=conf["feature_mode"],
@@ -49,7 +38,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    conf = _load(args.config)
+    conf = load_config(args.config)
     cfg = conf["system"]
     loaded = load_policy(args.checkpoint)
     scen_dirs = sorted(p for p in Path(args.scenarios).iterdir()
@@ -58,21 +47,23 @@ def cmd_eval(args) -> int:
         print("no scenario bundles found", file=sys.stderr)
         return 1
     scenarios = [load_scenario(p) for p in scen_dirs]
-    results = evaluate_policy(loaded, scenarios, cfg)
     out = Path(args.out or "eval_results.csv")
+    ees = []
     with open(out, "w") as f:
         f.write(REPORT_CSV_HEADER + "\n")
-        for sc, (action, report) in zip(scenarios, results):
+        for sc in scenarios:
+            action = policy_action(sc, loaded)
             dec = realize(action, sc, cfg)
+            report = evaluate(sc, dec, cfg)
+            ees.append(report.ee_mbits_per_joule)
             f.write(report_csv_row(sc.seed, action, dec, report) + "\n")
-    ees = [r.ee_mbits_per_joule for _, r in results]
-    print(f"evaluated {len(results)} scenarios; "
+    print(f"evaluated {len(ees)} scenarios; "
           f"mean EE = {np.mean(ees):.3f} Mbit/J; results in {out}")
     return 0
 
 
 def cmd_oracle(args) -> int:
-    conf = _load(args.config)
+    conf = load_config(args.config)
     cfg = conf["system"]
     grid = parse_grid(args.grid) if args.grid else default_grid()
     scenarios = held_out_scenarios(cfg, args.scenarios, args.seed)
@@ -93,7 +84,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep_pbt(args) -> int:
-    conf = _load(args.config)
+    conf = load_config(args.config)
     values = [float(v) for v in args.values.split(",")]
     ckpt_dir = Path(args.checkpoints)
     checkpoints = {}
@@ -119,7 +110,7 @@ def cmd_sweep_pbt(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    conf = _load(args.config)
+    conf = load_config(args.config)
     m_values = [int(v) for v in args.m_values.split(",")]
     ckpt = None if args.zero_shot else args.checkpoint
     rows = bench_runtime(m_values, conf["system"], checkpoint=ckpt,

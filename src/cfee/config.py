@@ -1,7 +1,8 @@
-# System-level constants for the cell-free massive MIMO simulator.
+# System-level constants for the cell-free massive MIMO simulator and the
+# noise power and SNRs derived from them.
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -68,3 +69,19 @@ class SystemConfig:
                 ov = np.asarray(ov, dtype=float)
                 if ov.shape != (n_expected, 2):
                     raise ValueError("position override has wrong shape")
+
+
+def noise_power(cfg: SystemConfig) -> float:
+    """Thermal noise power in watts: -174 dBm/Hz + 10 log10(B) + NF."""
+    n0_dbm = -174.0 + 10.0 * np.log10(cfg.bandwidth_hz) + cfg.noise_figure_db
+    return 10.0 ** (n0_dbm / 10.0) * 1e-3
+
+
+def rho_d(cfg: SystemConfig) -> float:
+    """Normalized downlink SNR."""
+    return cfg.p_down_watts / noise_power(cfg)
+
+
+def rho_p(cfg: SystemConfig) -> float:
+    """Normalized pilot SNR."""
+    return cfg.p_pilot_watts / noise_power(cfg)

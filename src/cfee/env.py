@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,25 +17,6 @@ log = logging.getLogger(__name__)
 DEFAULT_EPISODE_LENGTH = 200
 DEFAULT_PENALTY = 20.0       # xi_pen, commensurate with EE in Mbit/J
 NORMALIZER_WARMUP_SLOTS = 1000
-
-
-@dataclass
-class EnvState:
-    beta_features: np.ndarray  # (M*K,) observation fed to the policy
-    slot_index: int            # t in {1..T}
-    scenario: Scenario
-
-
-@dataclass
-class Transition:
-    state: np.ndarray          # features
-    action_raw: np.ndarray     # pre-squash gaussian sample
-    action: np.ndarray         # squashed coefficients, policy's native dim
-    log_prob: float
-    reward: float
-    value: float
-    done: bool
-    next_state: np.ndarray
 
 
 class FeatureNormalizer:
@@ -86,6 +66,21 @@ class FeatureNormalizer:
         return norm
 
 
+def beta_features(sc: Scenario, feature_mode: str,
+                  normalizer: Optional[FeatureNormalizer],
+                  update: bool = False) -> np.ndarray:
+    """The policy's observation of a scenario: beta flattened, in dB and
+    standardized by `normalizer` ("db_standardized"), or linear ("raw", or
+    no normalizer). `update` feeds the dB values to the normalizer first."""
+    flat = sc.beta.ravel()
+    if feature_mode == "raw" or normalizer is None:
+        return flat.copy()
+    feats = 10.0 * np.log10(flat)
+    if update:
+        normalizer.update(feats)
+    return normalizer.transform(feats)
+
+
 def reward_from_report(report: PerfReport, penalty: float) -> float:
     """EE in Mbit/J minus the weighted QoS shortfall."""
     return report.ee_mbits_per_joule - penalty * float(
@@ -95,8 +90,9 @@ def reward_from_report(report: PerfReport, penalty: float) -> float:
 class CellFreeEnv:
     """MDP over successive large-scale intervals of one network.
 
-    AP positions are fixed per episode; user placement and shadowing are
-    redrawn i.i.d. each slot from the episode's RNG stream.
+    The env owns its episode: the RNG stream, the current scenario and the
+    slot index. AP positions are fixed per episode; user placement and
+    shadowing are redrawn i.i.d. each slot from the episode's RNG stream.
     """
 
     def __init__(self, cfg: SystemConfig,
@@ -112,45 +108,41 @@ class CellFreeEnv:
         self.feature_mode = feature_mode
         self.normalizer = normalizer or FeatureNormalizer(cfg.M * cfg.K)
         self._rng: Optional[np.random.Generator] = None
-        self._ap_positions: Optional[np.ndarray] = None
-        self.last_report: Optional[PerfReport] = None
+        self.scenario: Optional[Scenario] = None
+        self.slot_index = 0        # t in {1..T} once reset
 
     @property
     def feature_dim(self) -> int:
         return self.cfg.M * self.cfg.K
 
-    def _observe(self, sc: Scenario) -> np.ndarray:
-        flat = sc.beta.ravel()
-        if self.feature_mode == "raw":
-            return flat.copy()
-        feats = 10.0 * np.log10(flat)
-        self.normalizer.update(feats)
-        return self.normalizer.transform(feats)
+    def _observe(self) -> np.ndarray:
+        return beta_features(self.scenario, self.feature_mode,
+                             self.normalizer, update=True)
 
-    def reset(self, seed: int) -> EnvState:
+    def reset(self, seed: int) -> np.ndarray:
+        """Start an episode; returns the first slot's features."""
         self._rng = np.random.default_rng(seed)
-        self._ap_positions = None  # scenario_from_rng draws them once
-        sc = scenario_from_rng(self.cfg, self._rng, seed=seed)
-        self._ap_positions = sc.ap_positions
-        return EnvState(beta_features=self._observe(sc), slot_index=1,
-                        scenario=sc)
+        self.scenario = scenario_from_rng(self.cfg, self._rng, seed=seed)
+        self.slot_index = 1
+        return self._observe()
 
-    def step(self, state: EnvState, action: Action
-             ) -> Tuple[EnvState, float, bool]:
+    def step(self, coeffs: Sequence[float]
+             ) -> Tuple[np.ndarray, float, bool]:
+        """Apply (zeta, kappa, nu) to the current slot; returns the next
+        slot's features, the reward and whether the episode ended."""
         if self._rng is None:
             raise RuntimeError("call reset() before step()")
+        action = Action(*(float(c) for c in coeffs))
         if not action.in_bounds():
             log.warning("action %s out of bounds; clamping", action)
             action = action.clipped()
-        dec = realize(action, state.scenario, self.cfg)
-        report = evaluate(state.scenario, dec, self.cfg)
-        self.last_report = report
-        reward = reward_from_report(report, self.penalty)
+        dec = realize(action, self.scenario, self.cfg)
+        reward = reward_from_report(evaluate(self.scenario, dec, self.cfg),
+                                    self.penalty)
 
-        done = state.slot_index >= self.episode_length
-        sc = scenario_from_rng(self.cfg, self._rng,
-                               ap_positions=self._ap_positions,
-                               seed=state.scenario.seed)
-        next_state = EnvState(beta_features=self._observe(sc),
-                              slot_index=state.slot_index + 1, scenario=sc)
-        return next_state, reward, done
+        done = self.slot_index >= self.episode_length
+        self.scenario = scenario_from_rng(
+            self.cfg, self._rng, ap_positions=self.scenario.ap_positions,
+            seed=self.scenario.seed)
+        self.slot_index += 1
+        return self._observe(), reward, done

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -14,11 +14,11 @@ import yaml
 
 from .alloc import Action, ZETA_BOUNDS, KAPPA_BOUNDS, NU_BOUNDS, realize
 from .config import SystemConfig
-from .env import CellFreeEnv, FeatureNormalizer, reward_from_report, \
-    DEFAULT_EPISODE_LENGTH, DEFAULT_PENALTY
+from .env import CellFreeEnv, FeatureNormalizer, beta_features, \
+    reward_from_report, DEFAULT_EPISODE_LENGTH, DEFAULT_PENALTY
 from .netgen import Scenario, generate_scenario
-from .perf import PerfReport, closed_form_se, evaluate, mc_se_oracle, \
-    REPORT_CSV_HEADER, report_csv_row
+from .perf import AllocationDecision, PerfReport, closed_form_se, evaluate, \
+    mc_se_oracle
 from .ppo import PpoHyper, PpoTrainer, SquashedGaussianPolicy, HIDDEN_SIZES, \
     init_mlp, load_checkpoint, save_checkpoint
 
@@ -61,24 +61,6 @@ def scheme_action(vec: np.ndarray, scheme: str) -> Action:
     raise ValueError(f"unknown scheme '{scheme}'")
 
 
-class SchemeEnv:
-    """Adapter exposing CellFreeEnv through the trainer's flat interface."""
-
-    def __init__(self, env: CellFreeEnv, scheme: str):
-        self.env = env
-        self.scheme = scheme
-        self._state = None
-
-    def reset(self, seed: int) -> np.ndarray:
-        self._state = self.env.reset(seed)
-        return self._state.beta_features
-
-    def step(self, action_vec: np.ndarray):
-        action = scheme_action(action_vec, self.scheme)
-        self._state, reward, done = self.env.step(self._state, action)
-        return self._state.beta_features, reward, done
-
-
 # --- training and evaluation -------------------------------------------
 
 def build_policy(scheme: str, obs_dim: int,
@@ -104,8 +86,7 @@ def train_scheme(cfg: SystemConfig, scheme: str, hyper: PpoHyper,
     policy = build_policy(scheme, env.feature_dim, rng)
     critic = init_mlp((env.feature_dim, *HIDDEN_SIZES, 1), rng)
     trainer = PpoTrainer(
-        SchemeEnv(env, scheme), policy, critic, hyper,
-        master_seed=master_seed,
+        env, policy, critic, hyper, master_seed=master_seed,
         to_coeffs=lambda v: scheme_action(v, scheme).as_array())
     trainer.train(total_steps=total_steps,
                   log_path=out_dir / f"train_{scheme}.csv")
@@ -144,10 +125,7 @@ def load_policy(ckpt_path) -> LoadedPolicy:
 
 
 def policy_features(sc: Scenario, loaded: LoadedPolicy) -> np.ndarray:
-    flat = sc.beta.ravel()
-    if loaded.feature_mode == "raw" or loaded.normalizer is None:
-        return flat
-    return loaded.normalizer.transform(10.0 * np.log10(flat))
+    return beta_features(sc, loaded.feature_mode, loaded.normalizer)
 
 
 def policy_action(sc: Scenario, loaded: LoadedPolicy) -> Action:
@@ -358,7 +336,6 @@ def random_small_case(seed: int, max_rel: float = 0.03,
                       n_realizations: int = 100_000,
                       force_shared_pilot: bool = False) -> SeValidationCase:
     """One random small instance: closed form vs the MC oracle."""
-    from .perf import AllocationDecision
     rng = np.random.default_rng(seed)
     while True:
         M = int(rng.integers(1, 5))
@@ -415,19 +392,42 @@ def validate_se(n_cases: int = 20, n_realizations: int = 100_000,
 
 # --- configuration files ------------------------------------------------
 
-def load_config(path) -> dict:
-    """Load the YAML experiment configuration; see configs/default.yaml
-    for the schema. Returns a dict with 'system', 'env', 'ppo' objects."""
-    with open(path) as f:
-        raw = yaml.safe_load(f) or {}
-    sys_block = raw.get("system", {}) or {}
+_ENV_KEYS = ("episode_length", "penalty_coefficient", "feature_mode",
+             "idle_backhaul_power")
+
+
+def _checked(block, allowed, where: str) -> dict:
+    """A mapping from the YAML config whose keys must all be `allowed`."""
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} must be a mapping")
+    unknown = sorted(map(str, set(block) - set(allowed)))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return block
+
+
+def load_config(path=None) -> dict:
+    """Load the YAML experiment configuration (defaults without a path);
+    see configs/default.yaml for the schema. Returns a dict with 'system',
+    'env', 'ppo' objects. An unknown key raises ValueError naming it."""
+    raw = None
+    if path is not None:
+        with open(path) as f:
+            raw = yaml.safe_load(f)
+    raw = _checked(raw, ("system", "env", "ppo", "master_seed"), "the config")
+    sys_block = _checked(raw.get("system"),
+                         [f.name for f in fields(SystemConfig)],
+                         "config block 'system'")
+    env_block = _checked(raw.get("env"), _ENV_KEYS, "config block 'env'")
+    ppo_block = _checked(raw.get("ppo"), [f.name for f in fields(PpoHyper)],
+                         "config block 'ppo'")
+    if "idle_backhaul_power" in env_block:
+        sys_block = {**sys_block,
+                     "idle_backhaul_power": env_block["idle_backhaul_power"]}
     cfg = SystemConfig(**sys_block)
-    env_block = raw.get("env", {}) or {}
-    ppo_block = raw.get("ppo", {}) or {}
     hyper = PpoHyper(**ppo_block)
     hyper.penalty = env_block.get("penalty_coefficient", hyper.penalty)
-    cfg.idle_backhaul_power = env_block.get("idle_backhaul_power",
-                                            cfg.idle_backhaul_power)
     return {
         "system": cfg,
         "episode_length": env_block.get("episode_length",

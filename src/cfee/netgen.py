@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, rho_p
 
 
 @dataclass
@@ -78,6 +78,24 @@ def assign_pilots(K: int, tau_p: int, seed: int) -> np.ndarray:
     return (pilot_of[:, None] == pilot_of[None, :]).astype(float)
 
 
+def pilot_groups(xcorr: np.ndarray) -> np.ndarray:
+    """Map each user to a pilot-group id (0, 1, ... in order of first
+    use); requires a binary cross-correlation matrix, i.e. an orthonormal
+    pilot book."""
+    if not np.all((np.abs(xcorr) < 1e-12) | (np.abs(xcorr - 1) < 1e-12)):
+        raise ValueError("only orthonormal pilot books are supported "
+                         "(binary cross-correlation matrix)")
+    K = xcorr.shape[0]
+    group = -np.ones(K, dtype=int)
+    next_id = 0
+    for k in range(K):
+        if group[k] < 0:
+            members = np.flatnonzero(xcorr[:, k] > 0.5)
+            group[members] = next_id
+            next_id += 1
+    return group
+
+
 def compute_gamma(beta: np.ndarray, xcorr: np.ndarray, tau_p: int,
                   rho_p: float) -> np.ndarray:
     """Mean-square of the MMSE channel estimate per (AP, user) link."""
@@ -86,12 +104,6 @@ def compute_gamma(beta: np.ndarray, xcorr: np.ndarray, tau_p: int,
     tp = tau_p * rho_p
     denom = tp * (beta @ xcorr) + 1.0
     return tp * beta ** 2 / denom
-
-
-def _rho_p(cfg: SystemConfig) -> float:
-    # local import: perf depends on netgen, avoid a cycle at module level
-    from .perf import noise_power
-    return cfg.p_pilot_watts / noise_power(cfg)
 
 
 def scenario_from_rng(cfg: SystemConfig, rng: np.random.Generator,
@@ -121,7 +133,7 @@ def scenario_from_rng(cfg: SystemConfig, rng: np.random.Generator,
 
     pilot_seed = int(rng.integers(0, 2 ** 31 - 1))
     xcorr = assign_pilots(cfg.K, cfg.tau_p, pilot_seed)
-    gamma = compute_gamma(beta, xcorr, cfg.tau_p, _rho_p(cfg))
+    gamma = compute_gamma(beta, xcorr, cfg.tau_p, rho_p(cfg))
     return Scenario(ap_positions=ap_positions, user_positions=user_positions,
                     beta=beta, pilot_xcorr=xcorr, gamma=gamma, seed=seed)
 
@@ -134,7 +146,7 @@ def generate_scenario(cfg: SystemConfig, seed: int) -> Scenario:
 
 # --- CSV bundle serialization -------------------------------------------
 
-_FMT = "%.14e"  # 15 significant digits
+_FMT = "%.17g"  # 17 significant digits: an exact float64 round trip
 
 
 def _write_matrix(path: Path, mat: np.ndarray, prefix: str):
@@ -158,7 +170,7 @@ def save_scenario(sc: Scenario, outdir) -> None:
     with open(outdir / "scenario_meta.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["seed", "M", "K", "tau_p"])
-        tau_p = _infer_tau_p(sc.pilot_xcorr)
+        tau_p = int(pilot_groups(sc.pilot_xcorr).max()) + 1
         w.writerow([sc.seed, sc.M, sc.K, tau_p])
     _write_matrix(outdir / "beta.csv", sc.beta, "user_")
     _write_matrix(outdir / "gamma.csv", sc.gamma, "user_")
@@ -170,15 +182,6 @@ def save_scenario(sc: Scenario, outdir) -> None:
             w.writerow(["ap", i, _FMT % x, _FMT % y])
         for i, (x, y) in enumerate(sc.user_positions):
             w.writerow(["user", i, _FMT % x, _FMT % y])
-
-
-def _infer_tau_p(xcorr: np.ndarray) -> int:
-    # number of distinct pilot groups actually in use
-    K = xcorr.shape[0]
-    seen = set()
-    for k in range(K):
-        seen.add(tuple(np.flatnonzero(xcorr[:, k] > 0.5)))
-    return len(seen)
 
 
 def load_scenario(indir) -> Scenario:

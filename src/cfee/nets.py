@@ -1,42 +1,53 @@
 # Minimal fully connected networks with explicit reverse-mode gradients,
-# first-order optimizers, and a finite-difference gradient checker.
+# an Adam optimizer, and a finite-difference gradient checker.
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 
-@dataclass
 class MlpParams:
-    """Dense network parameters: linear layers with ReLU hidden units."""
+    """Dense network parameters: linear layers with ReLU hidden units.
 
-    weights: List[np.ndarray]  # weights[i] has shape (out_i, in_i)
-    biases: List[np.ndarray]
-    sizes: Tuple[int, ...]     # (input, hidden..., output)
+    Every parameter lives in one float64 vector, `flat`, laid out w0, b0,
+    w1, b1, ...; `weights[i]` (shape (out_i, in_i)) and `biases[i]` are
+    views into it, so an update of `flat` updates every layer at once.
+    """
+
+    def __init__(self, weights: Sequence[np.ndarray],
+                 biases: Sequence[np.ndarray], sizes: Sequence[int]):
+        self.sizes = tuple(sizes)
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        self._shapes = [np.shape(a) for a in arrays]
+        # offset of each array in `flat`
+        self.starts = np.cumsum([0] + [np.size(a) for a in arrays[:-1]])
+        self.flat = np.concatenate([np.ravel(a) for a in arrays]).astype(float)
+        self.weights, self.biases = self.views(self.flat)
+
+    def views(self, vec: np.ndarray):
+        """(weights, biases) shaped views into a vector laid out like
+        `flat`, e.g. a gradient."""
+        arrays = [part.reshape(shape) for part, shape in
+                  zip(np.split(vec, self.starts[1:]), self._shapes)]
+        return arrays[0::2], arrays[1::2]
+
+    def bind(self, storage: np.ndarray):
+        """Move the parameters into `storage` (a vector of the same size,
+        e.g. a slice of a larger one) and re-point the layer views."""
+        storage[...] = self.flat
+        self.flat = storage
+        self.weights, self.biases = self.views(storage)
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases], self.sizes)
+        return MlpParams(self.weights, self.biases, self.sizes)
 
     def arrays(self) -> List[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
     def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def load_flat(self, vec: np.ndarray):
-        pos = 0
-        for a in self.arrays():
-            a[...] = vec[pos:pos + a.size].reshape(a.shape)
-            pos += a.size
+        return self.flat.size
 
 
 def init_mlp(sizes: Sequence[int], rng: np.random.Generator,
@@ -77,67 +88,65 @@ def forward_cache(params: MlpParams, x: np.ndarray):
     return y, (acts, squeeze)
 
 
-def backward(params: MlpParams, cache, grad_out: np.ndarray):
+def backward(params: MlpParams, cache, grad_out: np.ndarray,
+             grad: Optional[np.ndarray] = None):
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-    Returns (weight grads, bias grads, d(loss)/d(input)).
+    Returns (d(loss)/d(parameters) as one vector laid out like
+    `params.flat`, d(loss)/d(input)); the former is written into `grad`
+    when given.
     """
     acts, squeeze = cache
     g = np.asarray(grad_out, dtype=float)
     if squeeze:
         g = g[None, :]
-    gw = [None] * len(params.weights)
-    gb = [None] * len(params.biases)
+    if grad is None:
+        grad = np.empty(params.flat.size)
+    gw, gb = params.views(grad)
     for i in range(len(params.weights) - 1, -1, -1):
         if i < len(params.weights) - 1:
             g = g * (acts[i + 1] > 0)  # ReLU gate
-        gw[i] = g.T @ acts[i]
-        gb[i] = g.sum(axis=0)
+        np.matmul(g.T, acts[i], out=gw[i])
+        g.sum(axis=0, out=gb[i])
         g = g @ params.weights[i]
-    return gw, gb, (g[0] if squeeze else g)
+    return grad, (g[0] if squeeze else g)
 
 
 class Adam:
-    """Per-array Adam over a list of parameter arrays."""
+    """Adam over one parameter vector, updated in place."""
 
-    def __init__(self, arrays: List[np.ndarray], lr: float = 3e-4,
+    def __init__(self, params: np.ndarray, lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.arrays = arrays
+        self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._step = np.empty_like(params)   # work buffers reused
+        self._denom = np.empty_like(params)  # by every step
         self.t = 0
 
-    def step(self, grads: List[np.ndarray]):
-        """Descend along `grads` (negate the gradient to ascend)."""
+    def step(self, grad: np.ndarray):
+        """Descend along `grad` (negate the gradient to ascend)."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
-            m += (1 - b1) * (g - m)
-            v += (1 - b2) * (g * g - v)
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            a -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-class Sgd:
-    """Plain gradient descent, selectable for ablation."""
-
-    def __init__(self, arrays: List[np.ndarray], lr: float = 3e-4):
-        self.arrays = arrays
-        self.lr = lr
-
-    def step(self, grads: List[np.ndarray]):
-        for a, g in zip(self.arrays, grads):
-            a -= self.lr * g
-
-
-def make_optimizer(kind: str, arrays: List[np.ndarray], lr: float):
-    if kind == "adam":
-        return Adam(arrays, lr=lr)
-    if kind == "sgd":
-        return Sgd(arrays, lr=lr)
-    raise ValueError(f"unknown optimizer '{kind}'")
+        step, denom = self._step, self._denom
+        # m += (1 - b1) * (g - m)
+        np.subtract(grad, self.m, out=step)
+        step *= 1 - b1
+        self.m += step
+        # v += (1 - b2) * (g * g - v)
+        np.multiply(grad, grad, out=step)
+        step -= self.v
+        step *= 1 - b2
+        self.v += step
+        # params -= lr * mhat / (sqrt(vhat) + eps)
+        np.divide(self.v, 1 - b2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(self.m, 1 - b1 ** self.t, out=step)
+        step *= self.lr
+        step /= denom
+        self.params -= step
 
 
 @dataclass
@@ -175,21 +184,18 @@ def grad_check(params: MlpParams, rng: np.random.Generator,
         x = rng.normal(0.0, 1.0, size=(batch, params.sizes[0]))
         if min_kink_distance(x) > 100 * h:
             break
-        params.load_flat(params.flatten() +
-                         rng.normal(0.0, 0.01, size=params.n_params()))
+        params.flat += rng.normal(0.0, 0.01, size=params.n_params())
 
     def loss_at(flat: np.ndarray) -> float:
         p = params.copy()
-        p.load_flat(flat)
+        p.flat[...] = flat
         y = forward(p, x)
         return 0.5 * float(((y - target) ** 2).sum())
 
     y, cache = forward_cache(params, x)
-    gw, gb, _ = backward(params, cache, y - target)
-    analytic = np.concatenate(
-        [g.ravel() for pair in zip(gw, gb) for g in pair])
+    analytic, _ = backward(params, cache, y - target)
 
-    flat0 = params.flatten()
+    flat0 = params.flat.copy()
     numeric = np.empty_like(flat0)
     for i in range(flat0.size):
         up, dn = flat0.copy(), flat0.copy()

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
-from .netgen import Scenario
+from .config import SystemConfig, rho_d, rho_p
+from .netgen import Scenario, pilot_groups
 
 POWER_SLACK_TOL = 1e-9  # relative tolerance on the per-AP power budget
 
@@ -55,22 +55,6 @@ class PerfReport:
         return self.ee_bits_per_joule / 1e6
 
 
-def noise_power(cfg: SystemConfig) -> float:
-    """Thermal noise power in watts: -174 dBm/Hz + 10 log10(B) + NF."""
-    n0_dbm = -174.0 + 10.0 * np.log10(cfg.bandwidth_hz) + cfg.noise_figure_db
-    return 10.0 ** (n0_dbm / 10.0) * 1e-3
-
-
-def rho_d(cfg: SystemConfig) -> float:
-    """Normalized downlink SNR."""
-    return cfg.p_down_watts / noise_power(cfg)
-
-
-def rho_p(cfg: SystemConfig) -> float:
-    """Normalized pilot SNR."""
-    return cfg.p_pilot_watts / noise_power(cfg)
-
-
 def prelog(cfg: SystemConfig) -> float:
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c
 
@@ -108,22 +92,6 @@ def closed_form_se(sc: Scenario, dec: AllocationDecision,
     return prelog(cfg) * np.log2(1.0 + sinr)
 
 
-def _pilot_groups(xcorr: np.ndarray) -> np.ndarray:
-    """Map each user to a pilot-group id; requires binary cross-correlation."""
-    if not np.all((np.abs(xcorr) < 1e-12) | (np.abs(xcorr - 1) < 1e-12)):
-        raise ValueError("MC oracle supports orthonormal pilot books only "
-                         "(binary cross-correlation matrix)")
-    K = xcorr.shape[0]
-    group = -np.ones(K, dtype=int)
-    next_id = 0
-    for k in range(K):
-        if group[k] < 0:
-            members = np.flatnonzero(xcorr[:, k] > 0.5)
-            group[members] = next_id
-            next_id += 1
-    return group
-
-
 def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
                  n_realizations: int, seed: int,
                  antenna_mask: np.ndarray | None = None,
@@ -139,7 +107,7 @@ def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     M, K, N = sc.M, sc.K, cfg.N
-    group = _pilot_groups(sc.pilot_xcorr)
+    group = pilot_groups(sc.pilot_xcorr)
     n_groups = group.max() + 1
     member = np.zeros((K, n_groups))
     member[np.arange(K), group] = 1.0

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
 import struct
-from dataclasses import dataclass, asdict, field
-from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, asdict, fields
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .nets import MlpParams, forward, forward_cache, backward, init_mlp, \
-    make_optimizer
+from .nets import Adam, MlpParams, forward, forward_cache, backward, init_mlp
+
+log = logging.getLogger(__name__)
 
 HIDDEN_SIZES = (256, 256)
 LOGSTD_INIT = 0.0  # unit std in squash space: broad initial exploration
@@ -20,6 +22,11 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 CHECKPOINT_MAGIC = b"CFEECKPT"
 CHECKPOINT_VERSION = 1
+# Options since removed, at the values that describe the current trainer
+# (no KL early stop, no critic-only epochs, Adam). Checkpoint headers keep
+# recording them, so the format and older readers are unchanged.
+RETIRED_HYPER = {"critic_extra_epochs": 0, "optimizer": "adam",
+                 "target_kl": 0.0}
 
 
 @dataclass
@@ -37,17 +44,12 @@ class PpoHyper:
     epochs_per_update: int = 10
     max_grad_norm: float = 0.5
     entropy_coef: float = 0.01  # keeps exploration from collapsing early
-    target_kl: float = 0.0      # >0: stop epochs once approx KL exceeds it
-    # extra critic-only epochs per update: a tight value baseline is what
-    # separates the action's effect from scenario-to-scenario variation
-    critic_extra_epochs: int = 0
     # exploration floor on logstd (scalar or per-dimension sequence),
     # held for the first half of training then annealed to
     # LOGSTD_CLAMP[0]; broad early search, precise late placement
     logstd_floor_init: object = -1.2
     lr_decay: bool = True       # anneal both learning rates linearly to 0
     penalty: float = 20.0       # mirrored from the environment
-    optimizer: str = "adam"
 
     def validate(self):
         if not (0 <= self.discount <= 1 and 0 <= self.gae_lambda <= 1):
@@ -61,11 +63,13 @@ class PpoHyper:
 class SquashedGaussianPolicy:
     """Gaussian in pre-squash space, mapped into the action box by a
     per-coordinate sigmoid; log-probabilities carry the change-of-variables
-    correction. The log-std is a free state-independent parameter."""
+    correction. The log-std is a free state-independent parameter.
+
+    The optimised parameters form one vector, `params`: the actor's `flat`
+    followed by `logstd`, both views into it."""
 
     def __init__(self, actor: MlpParams, lo: np.ndarray, hi: np.ndarray,
                  logstd: Optional[np.ndarray] = None):
-        self.actor = actor
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
@@ -73,8 +77,14 @@ class SquashedGaussianPolicy:
         dim = self.lo.shape[0]
         if actor.sizes[-1] != dim:
             raise ValueError("actor output dim must match bounds")
-        self.logstd = (np.full(dim, LOGSTD_INIT) if logstd is None
-                       else np.asarray(logstd, dtype=float).copy())
+        n = actor.n_params()
+        self.params = np.empty(n + dim)
+        self.params[n:] = LOGSTD_INIT if logstd is None else logstd
+        actor.bind(self.params[:n])
+        self.actor = actor
+        self.logstd = self.params[n:]
+        # offset of each parameter array in `params`
+        self.starts = np.append(actor.starts, n)
 
     @property
     def action_dim(self) -> int:
@@ -84,20 +94,14 @@ class SquashedGaussianPolicy:
         s = 1.0 / (1.0 + np.exp(-raw))
         return self.lo + (self.hi - self.lo) * s
 
-    def _squash_log_det(self, raw: np.ndarray) -> np.ndarray:
-        # log |d action / d raw| summed over coordinates
-        s = 1.0 / (1.0 + np.exp(-raw))
-        jac = (self.hi - self.lo) * s * (1.0 - s)
-        return np.log(np.maximum(jac, 1e-300)).sum(axis=-1)
-
-    def _gauss_logp(self, raw: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        std = np.exp(self.logstd)
-        z = (raw - mean) / std
-        return (-0.5 * z ** 2 - self.logstd - 0.5 * _LOG_2PI).sum(axis=-1)
-
     def log_prob(self, raw: np.ndarray, mean: np.ndarray) -> np.ndarray:
         """Density of the squashed action at squash(raw), given the mean."""
-        return self._gauss_logp(raw, mean) - self._squash_log_det(raw)
+        z = (raw - mean) / np.exp(self.logstd)
+        gauss = (-0.5 * z ** 2 - self.logstd - 0.5 * _LOG_2PI).sum(axis=-1)
+        # minus log |d action / d raw| summed over coordinates
+        s = 1.0 / (1.0 + np.exp(-raw))
+        jac = (self.hi - self.lo) * s * (1.0 - s)
+        return gauss - np.log(np.maximum(jac, 1e-300)).sum(axis=-1)
 
     def sample(self, state: np.ndarray, rng: np.random.Generator):
         """Returns (raw sample, squashed action, log-probability)."""
@@ -108,10 +112,6 @@ class SquashedGaussianPolicy:
 
     def deterministic_action(self, state: np.ndarray) -> np.ndarray:
         return self.squash(forward(self.actor, state))
-
-    def copy(self) -> "SquashedGaussianPolicy":
-        return SquashedGaussianPolicy(self.actor.copy(), self.lo.copy(),
-                                      self.hi.copy(), self.logstd.copy())
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
@@ -131,14 +131,17 @@ def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
     return adv
 
 
-def clip_grad_norm(grads: List[np.ndarray], max_norm: float) -> float:
-    """Scales gradients in place so their global L2 norm is <= max_norm;
-    returns the pre-clip norm."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+def clip_grad_norm(grad: np.ndarray, max_norm: float,
+                   starts: Sequence[int] = (0,)) -> float:
+    """Scales a gradient vector in place so its L2 norm is <= max_norm;
+    returns the pre-clip norm. The squared norm adds one pairwise sum per
+    parameter array (`starts` are their offsets) in order: a single sum,
+    or np.add.reduceat's sequential ones, can differ in the last bit."""
+    sq = grad * grad
+    total = float(np.sqrt(sum(float(part.sum())
+                              for part in np.split(sq, starts[1:]))))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
@@ -155,18 +158,16 @@ class RolloutBuffer:
         self.horizon = horizon
         self.states = np.zeros((horizon, obs_dim))
         self.raws = np.zeros((horizon, act_dim))
-        self.actions = np.zeros((horizon, act_dim))
         self.logps = np.zeros(horizon)
         self.rewards = np.zeros(horizon)
         self.values = np.zeros(horizon)
         self.dones = np.zeros(horizon, dtype=bool)
         self.pos = 0
 
-    def add(self, state, raw, action, logp, reward, value, done):
+    def add(self, state, raw, logp, reward, value, done):
         i = self.pos
         self.states[i] = state
         self.raws[i] = raw
-        self.actions[i] = action
         self.logps[i] = logp
         self.rewards[i] = reward
         self.values[i] = value
@@ -180,13 +181,6 @@ class RolloutBuffer:
     def reset(self):
         self.pos = 0
 
-    def compute_advantages(self, bootstrap_value: float, discount: float,
-                           lam: float):
-        adv = gae(self.rewards, self.values, bootstrap_value, self.dones,
-                  discount, lam)
-        returns = adv + self.values
-        return adv, returns
-
 
 @dataclass
 class UpdateStats:
@@ -195,32 +189,27 @@ class UpdateStats:
 
 
 def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
-               critic: MlpParams, hyper: PpoHyper,
-               rng: np.random.Generator,
+               critic: MlpParams, opt_actor: Adam, opt_critic: Adam,
+               hyper: PpoHyper, rng: np.random.Generator,
                bootstrap_value: float,
                logstd_floor: Optional[float] = None,
                lr_scale: float = 1.0) -> UpdateStats:
-    """One PPO update over a full rollout buffer."""
+    """One PPO update over a full rollout buffer. `opt_actor` steps
+    `policy.params` and `opt_critic` steps `critic.flat`; their state
+    carries over from one update to the next."""
     floor = LOGSTD_CLAMP[0] if logstd_floor is None else logstd_floor
     if not buffer.full:
         raise ValueError("rollout buffer not full")
     hyper.validate()
-    adv, returns = buffer.compute_advantages(
-        bootstrap_value, hyper.discount, hyper.gae_lambda)
+    adv = gae(buffer.rewards, buffer.values, bootstrap_value, buffer.dones,
+              hyper.discount, hyper.gae_lambda)
+    returns = adv + buffer.values
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-
-    # persistent optimizer state lives on the policy/critic across updates
-    if not hasattr(policy, "_opt_state"):
-        policy._opt_state = make_optimizer(
-            hyper.optimizer, policy.actor.arrays() + [policy.logstd],
-            hyper.lr_actor)
-    opt_actor = policy._opt_state
-    if not hasattr(critic, "_opt_state"):
-        critic._opt_state = make_optimizer(
-            hyper.optimizer, critic.arrays(), hyper.lr_critic)
-    opt_critic = critic._opt_state
     opt_actor.lr = hyper.lr_actor * lr_scale
     opt_critic.lr = hyper.lr_critic * lr_scale
+    n_actor = policy.actor.n_params()
+    actor_grad = np.empty(policy.params.size)
+    critic_grad = np.empty(critic.n_params())
 
     T = buffer.horizon
     last_pl, last_vl = 0.0, 0.0
@@ -251,14 +240,13 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
             z = (raws - mean) / std
             # ascend: feed the negated gradient to the descending optimizer
             grad_mean = -(coef[:, None] * (z / std)) / B
-            gw, gb, _ = backward(policy.actor, cache, grad_mean)
-            grad_logstd = -(coef[:, None] * (z ** 2 - 1.0)).sum(axis=0) / B
+            backward(policy.actor, cache, grad_mean, actor_grad[:n_actor])
+            actor_grad[n_actor:] = \
+                -(coef[:, None] * (z ** 2 - 1.0)).sum(axis=0) / B
             # entropy bonus: d/d(logstd) of the Gaussian entropy is 1
-            grad_logstd -= hyper.entropy_coef
-            actor_grads = [g for pair in zip(gw, gb) for g in pair] \
-                + [grad_logstd]
-            clip_grad_norm(actor_grads, hyper.max_grad_norm)
-            opt_actor.step(actor_grads)
+            actor_grad[n_actor:] -= hyper.entropy_coef
+            clip_grad_norm(actor_grad, hyper.max_grad_norm, policy.starts)
+            opt_actor.step(actor_grad)
             np.clip(policy.logstd, floor, LOGSTD_CLAMP[1],
                     out=policy.logstd)
 
@@ -267,51 +255,35 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
             value_loss = 0.5 * float((err ** 2).mean())
             if not np.isfinite(value_loss):
                 raise RuntimeError("value loss diverged (non-finite)")
-            gwc, gbc, _ = backward(critic, vcache, (err / B)[:, None])
-            critic_grads = [g for pair in zip(gwc, gbc) for g in pair]
-            clip_grad_norm(critic_grads, hyper.max_grad_norm)
-            opt_critic.step(critic_grads)
+            backward(critic, vcache, (err / B)[:, None], critic_grad)
+            clip_grad_norm(critic_grad, hyper.max_grad_norm, critic.starts)
+            opt_critic.step(critic_grad)
 
             last_pl, last_vl = policy_loss, value_loss
-        if hyper.target_kl > 0:
-            mean_all = forward(policy.actor, buffer.states)
-            kl = float((buffer.logps
-                        - policy.log_prob(buffer.raws, mean_all)).mean())
-            if kl > hyper.target_kl:
-                break
-    for _ in range(hyper.critic_extra_epochs):
-        order = rng.permutation(T)
-        for start in range(0, T, hyper.minibatch):
-            idx = order[start:start + hyper.minibatch]
-            B = len(idx)
-            v, vcache = forward_cache(critic, buffer.states[idx])
-            err = v[:, 0] - returns[idx]
-            last_vl = 0.5 * float((err ** 2).mean())
-            gwc, gbc, _ = backward(critic, vcache, (err / B)[:, None])
-            critic_grads = [g for pair in zip(gwc, gbc) for g in pair]
-            clip_grad_norm(critic_grads, hyper.max_grad_norm)
-            opt_critic.step(critic_grads)
     return UpdateStats(policy_loss=last_pl, value_loss=last_vl)
 
 
 class PpoTrainer:
     """Rollout collection plus PPO updates against a minimal env interface:
-    env.reset(seed) -> features and env.step(action_vec) -> (features,
-    reward, done). Single-threaded and bit-reproducible for a fixed seed."""
+    env.reset(seed) -> features and env.step(coeffs) -> (features, reward,
+    done), where `to_coeffs` maps the policy's action vector to the
+    (zeta, kappa, nu) the env steps on and the log averages. The trainer
+    owns the Adam state of both networks. Single-threaded and
+    bit-reproducible for a fixed seed."""
 
     def __init__(self, env, policy: SquashedGaussianPolicy,
                  critic: MlpParams, hyper: PpoHyper, master_seed: int,
-                 to_coeffs: Optional[Callable[[np.ndarray], tuple]] = None):
+                 to_coeffs: Callable[[np.ndarray], Sequence[float]]):
         self.env = env
         self.policy = policy
         self.critic = critic
         self.hyper = hyper
+        self.opt_actor = Adam(policy.params, lr=hyper.lr_actor)
+        self.opt_critic = Adam(critic.flat, lr=hyper.lr_critic)
         self.rng = np.random.default_rng(master_seed)
-        self.to_coeffs = to_coeffs or (lambda v: tuple(v))
-        self._episode = 0
+        self.to_coeffs = to_coeffs
 
     def _next_episode_seed(self) -> int:
-        self._episode += 1
         return int(self.rng.integers(0, 2 ** 62))
 
     def train(self, total_steps: Optional[int] = None,
@@ -322,21 +294,21 @@ class PpoTrainer:
         obs = self.env.reset(self._next_episode_seed())
         buf = RolloutBuffer(hyper.rollout_horizon, len(obs),
                             self.policy.action_dim)
+        coeffs = np.zeros((buf.horizon, 3))
         logs: List[dict] = []
-        log_file = None
-        if log_path is not None:
-            log_file = open(log_path, "w")
+        with open(log_path or os.devnull, "w") as log_file:
             log_file.write("step,mean_reward,policy_loss,value_loss,"
                            "mean_zeta,mean_kappa,mean_nu\n")
-        try:
             step = 0
             while step < total_steps:
                 buf.reset()
                 while not buf.full:
                     raw, action, logp = self.policy.sample(obs, self.rng)
                     value = float(forward(self.critic, obs)[0])
-                    next_obs, reward, done = self.env.step(action)
-                    buf.add(obs, raw, action, logp, reward, value, done)
+                    c = self.to_coeffs(action)
+                    next_obs, reward, done = self.env.step(c)
+                    coeffs[buf.pos] = c
+                    buf.add(obs, raw, logp, reward, value, done)
                     obs = self.env.reset(self._next_episode_seed()) if done \
                         else next_obs
                     step += 1
@@ -350,10 +322,10 @@ class PpoTrainer:
                 init = np.asarray(hyper.logstd_floor_init, dtype=float)
                 floor = init + anneal * (LOGSTD_CLAMP[0] - init)
                 scale = 1.0 - progress if hyper.lr_decay else 1.0
-                stats = ppo_update(buf, self.policy, self.critic, hyper,
+                stats = ppo_update(buf, self.policy, self.critic,
+                                   self.opt_actor, self.opt_critic, hyper,
                                    self.rng, bootstrap, logstd_floor=floor,
                                    lr_scale=max(scale, 1e-3))
-                coeffs = np.array([self.to_coeffs(a) for a in buf.actions])
                 row = {
                     "step": step,
                     "mean_reward": float(buf.rewards.mean()),
@@ -364,24 +336,16 @@ class PpoTrainer:
                     "mean_nu": float(coeffs[:, 2].mean()),
                 }
                 logs.append(row)
-                if log_file is not None:
-                    log_file.write(
-                        "%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n" % (
-                            row["step"], row["mean_reward"],
-                            row["policy_loss"], row["value_loss"],
-                            row["mean_zeta"], row["mean_kappa"],
-                            row["mean_nu"]))
-                    log_file.flush()
-        finally:
-            if log_file is not None:
-                log_file.close()
+                log_file.write("%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+                               % tuple(row.values()))
+                log_file.flush()
         return logs
 
 
 # --- checkpoint format ----------------------------------------------------
 # magic (8 bytes) | version (u32 LE) | header length (u64 LE) | JSON header |
-# parameter arrays as little-endian float64 in declaration order:
-# actor weights/biases, actor logstd, critic weights/biases.
+# parameters as little-endian float64: policy.params (actor weights and
+# biases, then logstd), then critic.flat.
 
 def save_checkpoint(path, policy: SquashedGaussianPolicy, critic: MlpParams,
                     hyper: PpoHyper, meta: Optional[dict] = None):
@@ -391,18 +355,17 @@ def save_checkpoint(path, policy: SquashedGaussianPolicy, critic: MlpParams,
         "critic_sizes": list(critic.sizes),
         "action_lo": policy.lo.tolist(),
         "action_hi": policy.hi.tolist(),
-        "hyper": asdict(hyper),
+        "hyper": {**asdict(hyper), **RETIRED_HYPER},
         "meta": meta,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    arrays = policy.actor.arrays() + [policy.logstd] + critic.arrays()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        f.write(policy.params.astype("<f8").tobytes())
+        f.write(critic.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -423,13 +386,21 @@ def load_checkpoint(path):
     critic = init_mlp(header["critic_sizes"], rng)
     policy = SquashedGaussianPolicy(actor, np.array(header["action_lo"]),
                                     np.array(header["action_hi"]))
-    arrays = policy.actor.arrays() + [policy.logstd] + critic.arrays()
-    pos = 0
     buf = np.frombuffer(payload, dtype="<f8")
-    for a in arrays:
-        a[...] = buf[pos:pos + a.size].reshape(a.shape)
-        pos += a.size
-    if pos != buf.size:
+    n = policy.params.size
+    if buf.size != n + critic.n_params():
         raise ValueError("checkpoint payload size mismatch")
-    hyper = PpoHyper(**header["hyper"])
+    policy.params[:] = buf[:n]
+    critic.flat[:] = buf[n:]
+    known = {f.name for f in fields(PpoHyper)}
+    hyper = PpoHyper(**{k: v for k, v in header["hyper"].items()
+                        if k in known})
+    # a retired option at its RETIRED_HYPER value is what every checkpoint
+    # records; any other unknown field describes a run this version cannot
+    # reproduce
+    ignored = [f"{k}={v!r}" for k, v in sorted(header["hyper"].items())
+               if k not in known and (k, v) not in RETIRED_HYPER.items()]
+    if ignored:
+        log.warning("%s: ignoring checkpoint hyperparameters this version "
+                    "does not support: %s", path, ", ".join(ignored))
     return policy, critic, hyper, header["meta"]

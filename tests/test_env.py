@@ -70,42 +70,42 @@ class TestFeatureNormalizer:
 
 class TestEnv:
     def test_reset_deterministic(self, cfg):
-        s1 = CellFreeEnv(cfg).reset(123)
-        s2 = CellFreeEnv(cfg).reset(123)
-        assert np.array_equal(s1.beta_features, s2.beta_features)
-        assert np.array_equal(s1.scenario.beta, s2.scenario.beta)
-        assert s1.slot_index == 1
+        e1, e2 = CellFreeEnv(cfg), CellFreeEnv(cfg)
+        f1, f2 = e1.reset(123), e2.reset(123)
+        assert np.array_equal(f1, f2)
+        assert np.array_equal(e1.scenario.beta, e2.scenario.beta)
+        assert e1.slot_index == 1
 
     def test_feature_length(self, cfg):
         env = CellFreeEnv(cfg)
-        assert env.reset(0).beta_features.shape == (cfg.M * cfg.K,)
+        assert env.reset(0).shape == (cfg.M * cfg.K,)
 
     def test_reward_decomposition(self, cfg):
         env = CellFreeEnv(cfg, penalty=20.0)
-        state = env.reset(7)
+        env.reset(7)
+        sc = env.scenario
         action = Action(0.5, 1.0, 1.0)
-        _, reward, _ = env.step(state, action)
-        rep = evaluate(state.scenario, realize(action, state.scenario, cfg),
-                       cfg)
+        _, reward, _ = env.step(action.as_array())
+        rep = evaluate(sc, realize(action, sc, cfg), cfg)
         expected = rep.ee_mbits_per_joule - 20.0 * rep.qos_shortfall.sum()
         assert reward == pytest.approx(expected, rel=1e-15)
 
     def test_episode_terminates(self, cfg):
         env = CellFreeEnv(cfg, episode_length=3)
-        state = env.reset(1)
+        env.reset(1)
         dones = []
         for _ in range(3):
-            state, _, done = env.step(state, Action(1.0, 0.0, 1.0))
+            _, _, done = env.step((1.0, 0.0, 1.0))
             dones.append(done)
         assert dones == [False, False, True]
 
     def test_markov_reproducibility(self, cfg):
         def run(n):
             env = CellFreeEnv(cfg)
-            state = env.reset(9)
+            env.reset(9)
             out = []
             for _ in range(n):
-                state, r, _ = env.step(state, Action(0.7, 0.5, 1.5))
+                _, r, _ = env.step((0.7, 0.5, 1.5))
                 out.append(r)
             return out
 
@@ -113,25 +113,24 @@ class TestEnv:
 
     def test_ap_positions_fixed_within_episode(self, cfg):
         env = CellFreeEnv(cfg)
-        state = env.reset(11)
-        aps0 = state.scenario.ap_positions.copy()
-        state, _, _ = env.step(state, Action(1.0, 0.0, 1.0))
-        assert np.array_equal(state.scenario.ap_positions, aps0)
+        env.reset(11)
+        aps0 = env.scenario.ap_positions.copy()
+        env.step((1.0, 0.0, 1.0))
+        assert np.array_equal(env.scenario.ap_positions, aps0)
         # user positions are redrawn each slot
-        s2, _, _ = env.step(state, Action(1.0, 0.0, 1.0))
-        assert not np.array_equal(s2.scenario.user_positions,
-                                  state.scenario.user_positions)
+        users1 = env.scenario.user_positions
+        env.step((1.0, 0.0, 1.0))
+        assert not np.array_equal(env.scenario.user_positions, users1)
 
     def test_out_of_bounds_clamped_with_warning(self, cfg, caplog):
         env = CellFreeEnv(cfg)
-        state = env.reset(2)
+        env.reset(2)
         with caplog.at_level(logging.WARNING, logger="cfee.env"):
-            _, reward, _ = env.step(state, Action(2.0, -1.0, 9.0))
+            _, reward, _ = env.step((2.0, -1.0, 9.0))
         assert "clamp" in caplog.text
         assert np.isfinite(reward)
 
     def test_raw_feature_mode(self, cfg):
         env = CellFreeEnv(cfg, feature_mode="raw")
-        state = env.reset(3)
-        assert np.allclose(state.beta_features,
-                           state.scenario.beta.ravel())
+        feats = env.reset(3)
+        assert np.allclose(feats, env.scenario.beta.ravel())

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import cfee.cli
+import cfee.harness
 from cfee.cli import main
 from cfee.config import SystemConfig
-from cfee.harness import (SchemeEnv, bench_runtime, default_grid,
+from cfee.harness import (bench_runtime, default_grid,
                           evaluate_policy, grid_oracle, grid_oracle_one,
                           held_out_scenarios, latency_growth_exponent,
                           load_config, load_policy, parse_grid, policy_action,
@@ -11,7 +13,7 @@ from cfee.harness import (SchemeEnv, bench_runtime, default_grid,
                           train_scheme, validate_se)
 from cfee.alloc import realize
 from cfee.env import CellFreeEnv, reward_from_report
-from cfee.netgen import Scenario, generate_scenario
+from cfee.netgen import Scenario, generate_scenario, save_scenario
 from cfee.perf import evaluate
 from cfee.ppo import PpoHyper
 
@@ -52,12 +54,13 @@ class TestSchemes:
         assert np.all(dec.n_active[dec.active] == cfg.N)
 
     def test_scheme_env_round_trip(self, cfg):
-        env = SchemeEnv(CellFreeEnv(cfg, episode_length=2), "drl_ao")
+        env = CellFreeEnv(cfg, episode_length=2)
         obs = env.reset(5)
         assert obs.shape == (cfg.M * cfg.K,)
-        obs2, reward, done = env.step(np.array([0.5]))
+        coeffs = scheme_action(np.array([0.5]), "drl_ao").as_array()
+        obs2, reward, done = env.step(coeffs)
         assert np.isfinite(reward) and not done
-        _, _, done = env.step(np.array([0.5]))
+        _, _, done = env.step(coeffs)
         assert done
 
 
@@ -242,6 +245,30 @@ class TestLoadConfig:
         with pytest.raises(ValueError):
             load_config(p)
 
+    @pytest.mark.parametrize("text, key", [
+        ("master_seed: 1\nseed: 2\n", "seed"),
+        ("system: {M: 6, K: 3, N: 4, tau_p: 3, antennas: 4}\n", "antennas"),
+        ("env: {episode_length: 8, penalty: 5.0}\n", "penalty"),
+        ("ppo: {clip: 0.2, target_kl: 0.01}\n", "target_kl"),
+        ("ppo: {critic_extra_epochs: 2}\n", "critic_extra_epochs"),
+        ("ppo: {optimizer: adam}\n", "optimizer"),
+    ])
+    def test_unknown_key_named(self, tmp_path, text, key):
+        p = tmp_path / "unknown.yaml"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"unknown key.*: {key}$"):
+            load_config(p)
+        assert main(["gen", "--config", str(p), "--seed", "0",
+                     "--out", str(tmp_path / "s")]) == 2
+
+    def test_idle_backhaul_power_validated(self, tmp_path):
+        p = tmp_path / "idle.yaml"
+        p.write_text("env: {idle_backhaul_power: 0.5}\n")
+        assert load_config(p)["system"].idle_backhaul_power == 0.5
+        p.write_text("env: {idle_backhaul_power: -1.0}\n")
+        with pytest.raises(ValueError, match="backhaul"):
+            load_config(p)
+
 
 class TestCli:
     def test_gen_eval_round_trip(self, cfg, tmp_path):
@@ -265,6 +292,29 @@ class TestCli:
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_eval_realizes_each_scenario_once(self, cfg, tmp_path,
+                                              monkeypatch):
+        scen_dir = tmp_path / "scen"
+        for seed in (1, 2, 3):
+            save_scenario(generate_scenario(cfg, seed), scen_dir / f"s{seed}")
+        ckpt = train_scheme(cfg, "proposed", small_hyper(), master_seed=4,
+                            out_dir=tmp_path / "run", episode_length=16,
+                            total_steps=64)
+        conf = tmp_path / "c.yaml"
+        conf.write_text("system: {M: 5, K: 3, N: 4, tau_p: 3}\n")
+        calls = []
+
+        def counting_realize(action, sc, cfg_):
+            calls.append(sc.seed)
+            return realize(action, sc, cfg_)
+        monkeypatch.setattr(cfee.cli, "realize", counting_realize)
+        monkeypatch.setattr(cfee.harness, "realize", counting_realize)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--scenarios",
+                   str(scen_dir), "--config", str(conf), "--out",
+                   str(tmp_path / "eval.csv")])
+        assert rc == 0
+        assert sorted(calls) == [1, 2, 3]
 
     def test_oracle_csv_deterministic(self, tmp_path):
         conf = tmp_path / "c.yaml"

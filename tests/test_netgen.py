@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cfee.config import SystemConfig
+from cfee.alloc import Action, realize
+from cfee.config import SystemConfig, noise_power
 from cfee.netgen import (assign_pilots, compute_gamma, generate_scenario,
-                         load_scenario, path_loss_db, save_scenario,
-                         wrap_distance)
-from cfee.perf import noise_power
+                         load_scenario, path_loss_db, pilot_groups,
+                         save_scenario, wrap_distance)
+from cfee.perf import evaluate
 
 
 @pytest.fixture
@@ -89,6 +90,21 @@ class TestAssignPilots:
             assert np.all((x.sum(axis=1) >= 1) & (x.sum(axis=1) <= 4))
 
 
+class TestPilotGroups:
+    def test_groups_match_cross_correlation(self):
+        for seed in range(5):
+            x = assign_pilots(7, 3, seed)
+            g = pilot_groups(x)
+            assert np.array_equal(g[:, None] == g[None, :], x == 1)
+            # ids are 0, 1, ... in order of first use
+            first = [int(g[k]) for k in range(7) if g[k] not in g[:k]]
+            assert first == list(range(g.max() + 1))
+
+    def test_non_binary_rejected(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            pilot_groups(np.array([[1.0, 0.3], [0.3, 1.0]]))
+
+
 class TestComputeGamma:
     def test_single_user_half(self):
         beta = np.array([[1.0]])
@@ -164,6 +180,28 @@ class TestScenarioBundle:
         assert np.allclose(back.gamma, sc.gamma, rtol=1e-12)
         assert np.array_equal(back.pilot_xcorr, sc.pilot_xcorr)
         assert np.allclose(back.ap_positions, sc.ap_positions)
+
+    def test_exact_round_trip(self, tmp_path):
+        # save -> load -> evaluate reproduces every bit
+        cfg = SystemConfig(M=6, K=4, N=3, tau_p=2)
+        sc = generate_scenario(cfg, 12)
+        save_scenario(sc, tmp_path / "sc")
+        back = load_scenario(tmp_path / "sc")
+        for name in ("beta", "gamma", "ap_positions", "user_positions"):
+            assert np.array_equal(getattr(back, name), getattr(sc, name))
+        action = Action(0.6, 1.0, 0.5)
+        se = evaluate(sc, realize(action, sc, cfg), cfg).se_per_user
+        se_back = evaluate(back, realize(action, back, cfg),
+                           cfg).se_per_user
+        assert np.array_equal(se_back, se)
+
+    def test_meta_counts_pilot_groups(self, tmp_path):
+        cfg = SystemConfig(M=5, K=6, N=4, tau_p=2)
+        sc = generate_scenario(cfg, 3)
+        save_scenario(sc, tmp_path / "sc")
+        meta = (tmp_path / "sc" / "scenario_meta.csv").read_text()
+        n_groups = len({tuple(col) for col in sc.pilot_xcorr.T})
+        assert meta.splitlines()[1].split(",")[3] == str(n_groups)
 
     def test_significant_digits(self, tmp_path):
         cfg = SystemConfig(M=2, K=2, N=2, tau_p=2)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cfee.nets import (Adam, MlpParams, Sgd, backward, forward,
-                       forward_cache, grad_check, init_mlp)
+from cfee.nets import (Adam, MlpParams, backward, forward, forward_cache,
+                       grad_check, init_mlp)
 
 
 class TestForward:
@@ -72,7 +72,7 @@ class TestBackwardInputGrad:
         p = init_mlp((4, 6, 2), rng)
         x = rng.normal(size=4) + 0.05
         y, cache = forward_cache(p, x)
-        _, _, gx = backward(p, cache, 2 * y)
+        _, gx = backward(p, cache, 2 * y)
         h = 1e-6
         for j in range(4):
             xp, xm = x.copy(), x.copy()
@@ -84,33 +84,58 @@ class TestBackwardInputGrad:
 
 
 class TestOptimizers:
-    def quad_losses(self, opt_cls, steps=400, **kw):
+    def test_adam_converges(self):
         x = np.array([5.0, -3.0])
         target = np.array([1.0, 2.0])
-        opt = opt_cls([x], lr=0.05, **kw) if opt_cls is Sgd \
-            else opt_cls([x], lr=0.05)
+        opt = Adam(x, lr=0.05)
         losses = []
-        for _ in range(steps):
+        for _ in range(400):
             losses.append(float(((x - target) ** 2).sum()))
-            opt.step([2 * (x - target)])
-        return losses, x, target
-
-    def test_adam_converges(self):
-        losses, x, target = self.quad_losses(Adam)
+            opt.step(2 * (x - target))
         assert losses[-1] < 1e-4
         assert np.allclose(x, target, atol=0.05)
 
-    def test_sgd_converges(self):
-        losses, x, target = self.quad_losses(Sgd)
-        assert losses[-1] < 1e-6
+    def test_matches_per_array_adam(self):
+        # the one-vector update equals Adam applied to each array alone
+        rng = np.random.default_rng(11)
+        p = init_mlp((3, 5, 2), rng)
+        arrays = [a.copy() for a in p.arrays()]
+        opt = Adam(p.flat, lr=1e-2)
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        for t in range(1, 21):
+            grad = rng.normal(size=p.n_params())
+            opt.step(grad)
+            gw, gb = p.views(grad)
+            grads = [g for pair in zip(gw, gb) for g in pair]
+            for a, g, mi, vi in zip(arrays, grads, m, v):
+                mi += (1 - 0.9) * (g - mi)
+                vi += (1 - 0.999) * (g * g - vi)
+                a -= 1e-2 * (mi / (1 - 0.9 ** t)) / (
+                    np.sqrt(vi / (1 - 0.999 ** t)) + 1e-8)
+        for a, b in zip(arrays, p.arrays()):
+            assert np.array_equal(a, b)
 
 
 class TestFlatten:
     def test_round_trip(self):
         p = init_mlp((3, 5, 2), np.random.default_rng(9))
-        flat = p.flatten()
         q = init_mlp((3, 5, 2), np.random.default_rng(10))
-        q.load_flat(flat)
-        assert np.allclose(q.flatten(), flat)
+        q.flat[...] = p.flat
         for a, b in zip(p.arrays(), q.arrays()):
             assert np.array_equal(a, b)
+        # the constructor lays arrays out as w0, b0, w1, b1
+        r = MlpParams(p.weights, p.biases, p.sizes)
+        assert np.array_equal(r.flat, np.concatenate(
+            [a.ravel() for a in p.arrays()]))
+
+    def test_layers_are_views(self):
+        p = init_mlp((3, 5, 2), np.random.default_rng(12))
+        p.flat[:] = np.arange(p.n_params())
+        assert p.weights[0][0, 1] == 1.0
+        assert p.biases[0][0] == 15.0
+        storage = np.zeros(p.n_params() + 2)
+        p.bind(storage[1:-1])
+        assert p.biases[1][-1] == p.n_params() - 1
+        storage[1] = -7.0
+        assert p.weights[0][0, 0] == -7.0

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from cfee.alloc import Action, realize
-from cfee.config import SystemConfig
+from cfee.config import SystemConfig, noise_power, rho_d
 from cfee.netgen import Scenario, generate_scenario
 from cfee.perf import (AllocationDecision, check_feasibility, closed_form_se,
-                       energy_efficiency, evaluate, mc_se_oracle, noise_power,
-                       rho_d, total_power)
+                       energy_efficiency, evaluate, mc_se_oracle, total_power)
 
 
 def full_power_decision(sc, cfg, n_active=None):

@@ -1,10 +1,15 @@
+import json
+import logging
+import struct
+
 import numpy as np
 import pytest
 
-from cfee.nets import forward, init_mlp
+from cfee.nets import Adam, forward, init_mlp
 from cfee.ppo import (PpoHyper, PpoTrainer, RolloutBuffer,
-                      SquashedGaussianPolicy, clipped_surrogate, gae,
-                      load_checkpoint, ppo_update, save_checkpoint)
+                      SquashedGaussianPolicy, clip_grad_norm,
+                      clipped_surrogate, gae, load_checkpoint, ppo_update,
+                      save_checkpoint)
 
 
 def make_policy(obs_dim=4, act_dim=2, seed=0, lo=-1.0, hi=1.0):
@@ -124,12 +129,17 @@ class TestClippedSurrogate:
         assert np.all(surr <= 1.2 * adv + 1e-12)
 
 
+def optimizers(policy, critic, hyper):
+    return (Adam(policy.params, lr=hyper.lr_actor),
+            Adam(critic.flat, lr=hyper.lr_critic))
+
+
 def fill_buffer(buf, policy, critic, rewards_fn, rng):
     obs = rng.normal(size=(buf.horizon, buf.states.shape[1]))
     for i in range(buf.horizon):
         raw, action, logp = policy.sample(obs[i], rng)
         v = float(forward(critic, obs[i])[0])
-        buf.add(obs[i], raw, action, logp, rewards_fn(obs[i], action), v,
+        buf.add(obs[i], raw, logp, rewards_fn(obs[i], action), v,
                 i == buf.horizon - 1)
 
 
@@ -145,11 +155,12 @@ class TestUpdate:
         buf.dones[:] = True
         buf.rewards[:] = 1.0
         buf.values[:] = 1.0
-        before = pol.actor.flatten().copy()
+        before = pol.actor.flat.copy()
         hyper = PpoHyper(rollout_horizon=64, epochs_per_update=2,
                          minibatch=32)
-        ppo_update(buf, pol, critic, hyper, rng, 0.0)
-        after = pol.actor.flatten()
+        ppo_update(buf, pol, critic, *optimizers(pol, critic, hyper), hyper,
+                   rng, 0.0)
+        after = pol.actor.flat
         assert np.max(np.abs(after - before)) < 1e-6
 
     def test_critic_regresses_to_return(self):
@@ -159,15 +170,16 @@ class TestUpdate:
         state = rng.normal(size=4)
         buf = RolloutBuffer(64, 4, 2)
         for i in range(64):
-            raw, action, logp = pol.sample(state, rng)
-            buf.add(state, raw, action, logp, 3.0,
+            raw, _, logp = pol.sample(state, rng)
+            buf.add(state, raw, logp, 3.0,
                     float(forward(critic, state)[0]), True)
         hyper = PpoHyper(rollout_horizon=64, epochs_per_update=5,
                          minibatch=64, lr_critic=1e-2)
+        opts = optimizers(pol, critic, hyper)
         errs = []
         for _ in range(30):
             errs.append(abs(float(forward(critic, state)[0]) - 3.0))
-            ppo_update(buf, pol, critic, hyper, rng, 0.0)
+            ppo_update(buf, pol, critic, *opts, hyper, rng, 0.0)
         assert errs[-1] < 0.05
         assert errs[-1] < errs[0]
 
@@ -208,7 +220,8 @@ class TestUpdate:
         buf.rewards[0] = np.nan
         hyper = PpoHyper(rollout_horizon=32, minibatch=32)
         with pytest.raises(RuntimeError):
-            ppo_update(buf, pol, critic, hyper, rng, 0.0)
+            ppo_update(buf, pol, critic, *optimizers(pol, critic, hyper),
+                       hyper, rng, 0.0)
 
 
 class TestDeterminism:
@@ -235,7 +248,7 @@ class TestDeterminism:
             trainer = PpoTrainer(Env(), pol, critic, hyper, master_seed=7,
                                  to_coeffs=lambda v: (v[0], 0, 0))
             trainer.train(total_steps=128)
-            return pol.actor.flatten(), critic.flatten()
+            return pol.params.copy(), critic.flat.copy()
 
         a1, c1 = run()
         a2, c2 = run()
@@ -265,8 +278,59 @@ class TestCheckpoint:
         assert np.allclose(pol2.deterministic_action(x),
                            pol.deterministic_action(x))
 
+    def test_legacy_hyper_fields_dropped(self, tmp_path, caplog):
+        # headers written before KL early stopping, critic-only epochs and
+        # the optimizer choice were removed carry those fields
+        pol = make_policy(obs_dim=5, act_dim=3, seed=23)
+        critic = init_mlp((5, 16, 16, 1), np.random.default_rng(24))
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, pol, critic, PpoHyper(clip=0.3), {"k": 1})
+        with caplog.at_level(logging.WARNING, logger="cfee.ppo"):
+            load_checkpoint(path)
+        assert caplog.text == ""   # the retired fields at their defaults
+
+        blob = path.read_bytes()
+        hlen, = struct.unpack("<Q", blob[12:20])
+        header = json.loads(blob[20:20 + hlen])
+        header["hyper"].update(target_kl=0.02, critic_extra_epochs=3,
+                               optimizer="sgd")
+        new = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new
+                         + blob[20 + hlen:])
+        with caplog.at_level(logging.WARNING, logger="cfee.ppo"):
+            pol2, critic2, hyper2, meta2 = load_checkpoint(path)
+        for name in ("target_kl=0.02", "critic_extra_epochs=3",
+                     "optimizer='sgd'"):
+            assert name in caplog.text
+        assert hyper2 == PpoHyper(clip=0.3)
+        assert meta2 == {"k": 1}
+        assert np.array_equal(pol2.params, pol.params)
+        assert np.array_equal(critic2.flat, critic.flat)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+class TestClipGradNorm:
+    def test_matches_per_array_norm(self):
+        # bit-equal to the norm of the gradient as a list of per-layer
+        # arrays, each array's squares summed in turn
+        rng = np.random.default_rng(30)
+        pol = make_policy(obs_dim=50, act_dim=3, seed=31)
+        for _ in range(20):
+            arrays = [rng.normal(size=a.shape)
+                      for a in pol.actor.arrays() + [pol.logstd]]
+            grad = np.concatenate([a.ravel() for a in arrays])
+            expected = float(np.sqrt(sum(float((g * g).sum())
+                                         for g in arrays)))
+            assert clip_grad_norm(grad, 0.5, pol.starts) == expected
+            assert np.array_equal(grad, np.concatenate(
+                [(a * (0.5 / expected)).ravel() for a in arrays]))
+
+    def test_below_bound_untouched(self):
+        grad = np.array([0.3, 0.4])
+        assert clip_grad_norm(grad, 1.0) == pytest.approx(0.5)
+        assert np.array_equal(grad, [0.3, 0.4])
