@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -46,18 +47,28 @@ def ap_scores(beta: np.ndarray) -> np.ndarray:
     return beta.mean(axis=1)
 
 
+def _n_on(zeta, M: int):
+    """Active-set size max(1, round-half-up(zeta M)), elementwise."""
+    if not np.all((0 < zeta) & (zeta <= 1)):
+        raise ValueError("zeta must lie in (0, 1]")
+    return np.maximum(1, np.floor(zeta * M + 0.5).astype(int))
+
+
 def select_aps(scores: np.ndarray, zeta: float) -> np.ndarray:
     """Indices of the top zeta fraction of APs by score.
 
     Cardinality is max(1, round-half-up(zeta * M)); ties broken by lower
     AP index for reproducibility.
     """
-    if not (0 < zeta <= 1):
-        raise ValueError("zeta must lie in (0, 1]")
-    M = scores.shape[0]
-    n_on = max(1, int(np.floor(zeta * M + 0.5)))
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:n_on])
+    n_on = _n_on(zeta, scores.shape[0])
+    return np.sort(np.argsort(-scores, kind="stable")[:n_on])
+
+
+def _antennas(log_ratio, kappa, N: int):
+    """floor(1 + (N-1) w) capped at N, with w = (I_m / I_max)^kappa taken
+    in the log domain (log_ratio = log I_m - log I_max) for large kappa."""
+    w = np.exp(kappa * log_ratio)
+    return np.minimum(N, np.floor(1.0 + (N - 1) * w).astype(int))
 
 
 def allocate_antennas(scores: np.ndarray, active: np.ndarray, kappa: float,
@@ -69,10 +80,24 @@ def allocate_antennas(scores: np.ndarray, active: np.ndarray, kappa: float,
         raise ValueError("active set must be nonempty")
     n_active = np.zeros(scores.shape[0], dtype=int)
     log_s = np.log(scores[active])
-    # w_m = (I_m / I_max)^kappa, computed in log domain for large kappa
-    w = np.exp(kappa * (log_s - log_s.max()))
-    n_active[active] = np.minimum(N, np.floor(1.0 + (N - 1) * w).astype(int))
+    n_active[active] = _antennas(log_s - log_s.max(), kappa, N)
     return n_active
+
+
+def _check_gamma_rows(gamma: np.ndarray, rows: np.ndarray):
+    bad = rows[np.all(gamma[rows] <= 0, axis=1)]
+    if len(bad):
+        raise ValueError(f"degenerate gamma row at AP {bad[0]}")
+
+
+def _power_rows(gamma: np.ndarray, nu: float) -> Tuple[np.ndarray,
+                                                        np.ndarray]:
+    """The power rule on every row g of `gamma`: numerators r^(nu-1) and
+    denominators max(g) sum_k r^nu, with r = g / max(g) (row-normalized
+    powers keep exponentiation in a safe range)."""
+    gmax = gamma.max(axis=1)
+    r = gamma / gmax[:, None]
+    return r ** (nu - 1.0), gmax * (r ** nu).sum(axis=1)
 
 
 def allocate_power(gamma: np.ndarray, n_active: np.ndarray,
@@ -83,15 +108,54 @@ def allocate_power(gamma: np.ndarray, n_active: np.ndarray,
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
+    active = np.asarray(active, dtype=int)
+    _check_gamma_rows(gamma, active)
     eta = np.zeros_like(gamma)
-    for m in active:
-        g = gamma[m]
-        if np.all(g <= 0):
-            raise ValueError(f"degenerate gamma row at AP {m}")
-        # row-normalized powers keep exponentiation in a safe range
-        r = g / g.max()
-        eta[m] = r ** (nu - 1.0) / (g.max() * (r ** nu).sum() * n_active[m])
+    num, den = _power_rows(gamma[active], nu)
+    eta[active] = num / (den * n_active[active])[:, None]
     return eta
+
+
+def realize_batch(actions: np.ndarray, sc: Scenario, cfg: SystemConfig
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Turn B coefficient triples (rows of `actions`, (B, 3)) into
+    allocations for one scenario: the active mask (B, M), antenna counts
+    (B, M) and powers (B, M, K). Row b equals `realize` on action b bit
+    for bit."""
+    actions = np.asarray(actions, dtype=float).reshape(-1, 3)
+    zeta, kappa, nu = actions.T
+    scores = ap_scores(sc.beta)
+    B, (M, K) = len(actions), sc.gamma.shape
+    n_on = _n_on(zeta, M)
+    if np.any(kappa < 0):
+        raise ValueError("kappa must be >= 0")
+    if np.any(nu < 0):
+        raise ValueError("nu must be >= 0")
+
+    # one stable sort serves every action: AP m is on when its rank is
+    # below the action's active-set size
+    rank = np.empty(M, dtype=int)
+    rank[np.argsort(-scores, kind="stable")] = np.arange(M)
+    active = rank < n_on[:, None]
+
+    # the top AP is always on, so the antenna rule's max score is global
+    log_s = np.log(scores)
+    n_active = np.where(active, _antennas(log_s - log_s.max(),
+                                          kappa[:, None], cfg.N), 0)
+
+    # power rows once per distinct nu, on the APs some action turns on
+    rows = np.flatnonzero(active.any(axis=0))
+    _check_gamma_rows(sc.gamma, rows)
+    gamma = sc.gamma[rows]
+    eta = np.zeros((B, M, K))
+    nus, which = np.unique(nu, return_inverse=True)
+    for j, v in enumerate(nus):
+        num, den = _power_rows(gamma, float(v))
+        b = np.flatnonzero(which == j)
+        bb, i = np.nonzero(active[np.ix_(b, rows)])
+        b, m = b[bb], rows[i]
+        eta[b, m] = num[i] / (den[i] * n_active[b, m])[:, None]
+    return active, n_active, eta
 
 
 def realize(action: Action, sc: Scenario, cfg: SystemConfig) -> AllocationDecision:

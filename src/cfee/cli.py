@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .alloc import realize
+from .config import SystemConfig
 from .env import DEFAULT_PENALTY
 from .harness import SCHEMES, bench_runtime, default_grid, grid_oracle, \
     held_out_scenarios, latency_growth_exponent, load_config, load_policy, \
@@ -37,10 +39,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _eval_config(config_path, meta: dict) -> SystemConfig:
+    """The system to evaluate a checkpoint in: `config_path`'s (defaults
+    without one), with M, K and N from the checkpoint. A config that sets
+    one of them to another value raises ValueError naming it."""
+    conf = load_config(config_path)
+    dims = {f: meta[f] for f in ("M", "K", "N") if f in meta}
+    for f, value in (conf["raw"].get("system") or {}).items():
+        if f in dims and value != dims[f]:
+            raise ValueError(f"{config_path} sets {f}={value!r}, but the "
+                             f"checkpoint was trained with {f}={dims[f]}")
+    return dataclasses.replace(conf["system"], **dims)
+
+
 def cmd_eval(args) -> int:
-    conf = load_config(args.config)
-    cfg = conf["system"]
     loaded = load_policy(args.checkpoint)
+    cfg = _eval_config(args.config, loaded.meta)
     scen_dirs = sorted(p for p in Path(args.scenarios).iterdir()
                        if (p / "beta.csv").exists())
     if not scen_dirs:
@@ -133,7 +147,9 @@ def cmd_validate_se(args) -> int:
                         n_realizations=args.realizations, seed=args.seed)
     worst = max(cases, key=lambda c: c.max_rel_err)
     for c in cases:
-        status = "pass" if c.ok else "FAIL"
+        status = "pass" if c.ok else (
+            f"FAIL: worst user {c.worst_user}, closed-form SE "
+            f"{c.worst_user_se:.3g} bit/s/Hz")
         print(f"seed={c.seed} M={c.M} K={c.K} N={c.N} tau_p={c.tau_p} "
               f"max_rel_err={c.max_rel_err:.4f} {status}")
     print(f"worst case: seed={worst.seed}, "

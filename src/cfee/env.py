@@ -81,10 +81,16 @@ def beta_features(sc: Scenario, feature_mode: str,
     return normalizer.transform(feats)
 
 
+def batch_rewards(ee_bits_per_joule, qos_shortfall, penalty: float):
+    """EE in Mbit/J minus the weighted total QoS shortfall, elementwise, for
+    the decisions `perf.evaluate_batch` scored."""
+    return ee_bits_per_joule / 1e6 - penalty * qos_shortfall
+
+
 def reward_from_report(report: PerfReport, penalty: float) -> float:
     """EE in Mbit/J minus the weighted QoS shortfall."""
-    return report.ee_mbits_per_joule - penalty * float(
-        report.qos_shortfall.sum())
+    return float(batch_rewards(report.ee_bits_per_joule,
+                               report.qos_shortfall.sum(), penalty))
 
 
 class CellFreeEnv:

@@ -2,35 +2,27 @@
 # EE-vs-backhaul sweeps, runtime benchmarks, and SE cross-validation.
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 import yaml
 
-from .alloc import Action, ZETA_BOUNDS, KAPPA_BOUNDS, NU_BOUNDS, realize
+from .alloc import Action, ZETA_BOUNDS, KAPPA_BOUNDS, NU_BOUNDS, realize, \
+    realize_batch
 from .config import SystemConfig
 from .env import CellFreeEnv, FeatureNormalizer, beta_features, \
-    reward_from_report, DEFAULT_EPISODE_LENGTH, DEFAULT_PENALTY
+    batch_rewards, DEFAULT_EPISODE_LENGTH, DEFAULT_PENALTY
 from .netgen import Scenario, generate_scenario
 from .perf import AllocationDecision, PerfReport, closed_form_se, evaluate, \
-    mc_se_oracle
+    evaluate_batch, mc_se_oracle
+from .nets import init_mlp
 from .ppo import PpoHyper, PpoTrainer, SquashedGaussianPolicy, HIDDEN_SIZES, \
-    init_mlp, load_checkpoint, save_checkpoint
+    load_checkpoint, save_checkpoint
 
 SCHEMES = ("proposed", "drl_ao", "drl_ap")
-
-
-def worker_count() -> int:
-    """Concurrency cap from the CF_EE_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("CF_EE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # --- scheme definitions ----------------------------------------------------
@@ -189,50 +181,38 @@ class OracleResult:
 def grid_oracle_one(sc: Scenario, grid: Dict[str, np.ndarray],
                     cfg: SystemConfig,
                     penalty: float = DEFAULT_PENALTY) -> OracleResult:
-    """Exhaustive search over the coefficient grid for one scenario.
+    """Exhaustive search over the coefficient grid for one scenario, one
+    batch of |kappa| x |nu| actions per zeta.
 
-    Ties break toward the lexicographically smallest (zeta, kappa, nu);
-    iteration order makes the first maximum the lexicographic winner.
+    Ties break toward the lexicographically smallest (zeta, kappa, nu):
+    batches run in zeta order, rows in (kappa, nu) order, and only a
+    strictly larger reward replaces the best so far.
     """
-    from .alloc import ap_scores, select_aps, allocate_antennas, \
-        allocate_power
-    from .perf import AllocationDecision
-    best: Optional[OracleResult] = None
-    scores = ap_scores(sc.beta)
+    kappa = np.repeat(grid["kappa"], len(grid["nu"]))
+    nu = np.tile(grid["nu"], len(grid["kappa"]))
+    best_action, best_reward = None, None
     for zeta in grid["zeta"]:
-        active = select_aps(scores, float(zeta))
-        for kappa in grid["kappa"]:
-            n_active = allocate_antennas(scores, active, float(kappa), cfg.N)
-            for nu in grid["nu"]:
-                eta = allocate_power(sc.gamma, n_active, active, float(nu))
-                dec = AllocationDecision(active=active, n_active=n_active,
-                                         eta=eta)
-                report = evaluate(sc, dec, cfg)
-                reward = reward_from_report(report, penalty)
-                if best is None or reward > best.reward:
-                    best = OracleResult(
-                        action=Action(float(zeta), float(kappa), float(nu)),
-                        reward=reward,
+        actions = np.column_stack([np.full(len(kappa), zeta), kappa, nu])
+        # one expression, so that the batch's powers are freed before the
+        # next batch is realized
+        _, _, ee, shortfall = evaluate_batch(
+            sc, *realize_batch(actions, sc, cfg)[1:], cfg)
+        rewards = batch_rewards(ee, shortfall, penalty)
+        i = int(np.argmax(rewards))
+        if best_reward is None or rewards[i] > best_reward:
+            best_action = Action(*(float(c) for c in actions[i]))
+            best_reward = float(rewards[i])
+    report = evaluate(sc, realize(best_action, sc, cfg), cfg)
+    return OracleResult(action=best_action, reward=best_reward,
                         ee_mbits_per_joule=report.ee_mbits_per_joule,
                         report=report)
-    return best
-
-
-def _oracle_task(args):
-    sc, grid, cfg, penalty = args
-    return grid_oracle_one(sc, grid, cfg, penalty)
 
 
 def grid_oracle(scenarios: Sequence[Scenario], grid: Dict[str, np.ndarray],
                 cfg: SystemConfig,
                 penalty: float = DEFAULT_PENALTY) -> List[OracleResult]:
     """Per-scenario grid argmax; results ordered like the input list."""
-    workers = worker_count()
-    if workers == 1 or len(scenarios) < 2:
-        return [grid_oracle_one(sc, grid, cfg, penalty) for sc in scenarios]
-    tasks = [(sc, grid, cfg, penalty) for sc in scenarios]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_oracle_task, tasks))
+    return [grid_oracle_one(sc, grid, cfg, penalty) for sc in scenarios]
 
 
 # --- figure-analogue experiments ----------------------------------------
@@ -329,6 +309,8 @@ class SeValidationCase:
     N: int
     tau_p: int
     max_rel_err: float
+    worst_user: int         # the user with the largest relative error
+    worst_user_se: float    # that user's closed-form SE, bit/s/Hz
     ok: bool
 
 
@@ -372,10 +354,13 @@ def random_small_case(seed: int, max_rel: float = 0.03,
     se_cf = closed_form_se(sc, dec, cfg)
     se_mc = mc_se_oracle(sc, dec, cfg, n_realizations,
                          seed=int(rng.integers(2 ** 31)))
-    denom = np.maximum(se_cf, 1e-12)
-    rel = float(np.max(np.abs(se_cf - se_mc) / denom))
+    rel = np.abs(se_cf - se_mc) / np.maximum(se_cf, 1e-12)
+    worst = int(np.argmax(rel))
+    rel_max = float(rel[worst])
     return SeValidationCase(seed=seed, M=M, K=K, N=N, tau_p=tau_p,
-                            max_rel_err=rel, ok=rel <= max_rel)
+                            max_rel_err=rel_max, worst_user=worst,
+                            worst_user_se=float(se_cf[worst]),
+                            ok=rel_max <= max_rel)
 
 
 def validate_se(n_cases: int = 20, n_realizations: int = 100_000,
@@ -392,18 +377,28 @@ def validate_se(n_cases: int = 20, n_realizations: int = 100_000,
 
 # --- configuration files ------------------------------------------------
 
-_ENV_KEYS = ("episode_length", "penalty_coefficient", "feature_mode",
-             "idle_backhaul_power")
+_ENV_TYPES = {"episode_length": int, "penalty_coefficient": float,
+              "feature_mode": str, "idle_backhaul_power": float}
 
 
-def _checked(block, allowed, where: str) -> dict:
-    """A mapping from the YAML config whose keys must all be `allowed`."""
+def _checked(block, types: dict, where: str) -> dict:
+    """A mapping from the YAML config whose keys must all be in `types`
+    and whose values must have the key's type there (an int passes for a
+    float, a bool never passes for a number; other types go unchecked)."""
     block = {} if block is None else block
     if not isinstance(block, dict):
         raise ValueError(f"{where} must be a mapping")
-    unknown = sorted(map(str, set(block) - set(allowed)))
+    unknown = sorted(map(str, set(block) - set(types)))
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for key, value in block.items():
+        want = types[key]
+        if want not in (int, float, str, bool):
+            continue
+        ok = isinstance(value, (int, float) if want is float else want)
+        if not ok or (isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{where}: {key} must be {want.__name__}, "
+                             f"got {value!r}")
     return block
 
 
@@ -415,12 +410,12 @@ def load_config(path=None) -> dict:
     if path is not None:
         with open(path) as f:
             raw = yaml.safe_load(f)
-    raw = _checked(raw, ("system", "env", "ppo", "master_seed"), "the config")
-    sys_block = _checked(raw.get("system"),
-                         [f.name for f in fields(SystemConfig)],
+    raw = _checked(raw, {"system": dict, "env": dict, "ppo": dict,
+                         "master_seed": int}, "the config")
+    sys_block = _checked(raw.get("system"), get_type_hints(SystemConfig),
                          "config block 'system'")
-    env_block = _checked(raw.get("env"), _ENV_KEYS, "config block 'env'")
-    ppo_block = _checked(raw.get("ppo"), [f.name for f in fields(PpoHyper)],
+    env_block = _checked(raw.get("env"), _ENV_TYPES, "config block 'env'")
+    ppo_block = _checked(raw.get("ppo"), get_type_hints(PpoHyper),
                          "config block 'ppo'")
     if "idle_backhaul_power" in env_block:
         sys_block = {**sys_block,

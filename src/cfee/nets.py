@@ -64,6 +64,13 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator,
     return MlpParams(weights, biases, tuple(sizes))
 
 
+def zero_mlp(sizes: Sequence[int]) -> MlpParams:
+    """An MLP with the given layer sizes and every parameter zero."""
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    return MlpParams([np.zeros((n_out, n_in)) for n_in, n_out in pairs],
+                     [np.zeros(n_out) for _, n_out in pairs], tuple(sizes))
+
+
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Forward pass; accepts (in,) or (batch, in)."""
     y, _ = forward_cache(params, x)

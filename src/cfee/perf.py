@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -59,37 +60,55 @@ def prelog(cfg: SystemConfig) -> float:
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c
 
 
-def closed_form_se(sc: Scenario, dec: AllocationDecision,
-                   cfg: SystemConfig) -> np.ndarray:
-    """Per-user spectral efficiency from the closed-form SINR.
+def _se_and_load(sc: Scenario, n_active: np.ndarray, eta: np.ndarray,
+                 cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-user spectral efficiency (..., K) from the closed-form SINR, and
+    the per-AP load sum_k eta_mk gamma_mk (..., M), of allocations of one
+    scenario: antenna counts (..., M) and powers (..., M, K), with one
+    leading batch axis or none.
 
     The coherent-interference term carries the pilot cross-correlation
     factor; with orthogonal pilots it vanishes for all pairs.
     """
-    eta, gamma, beta = dec.eta, sc.gamma, sc.beta
-    if np.any(~np.isfinite(eta)) or np.any(eta < 0):
+    gamma, beta = sc.gamma, sc.beta
+    if not (eta.min() >= 0 and eta.max() < np.inf):   # false for a NaN
         raise ValueError("eta must be finite and nonnegative")
-    n = dec.n_active.astype(float)
+    n = n_active.astype(float)[..., None]            # (..., M, 1)
     rd = rho_d(cfg)
 
-    sqrt_eta = np.sqrt(eta)
     # desired signal: rho_d * (sum_m sqrt(eta_mk) N_m gamma_mk)^2
-    num = rd * (sqrt_eta * n[:, None] * gamma).sum(axis=0) ** 2
+    t = np.sqrt(eta)
+    t *= n
+    t *= gamma
+    num = rd * t.sum(axis=-2) ** 2
 
     # coherent interference: rho_d * sum_{j != k} xcorr[j,k] *
-    #   (sum_m N_m sqrt(eta_mj) gamma_mj beta_mk / beta_mj)^2
-    C = n[:, None] * sqrt_eta * gamma / beta      # (M, K) indexed by j
-    inner = C.T @ beta                            # (K_j, K_k)
-    coh = sc.pilot_xcorr * inner ** 2
-    np.fill_diagonal(coh, 0.0)
-    t_coh = rd * coh.sum(axis=0)
+    #   (sum_m N_m sqrt(eta_mj) gamma_mj beta_mk / beta_mj)^2,
+    # zero unless some users share a pilot
+    xcorr = sc.pilot_xcorr
+    t_coh = 0.0
+    if np.count_nonzero(xcorr) > np.count_nonzero(np.diagonal(xcorr)):
+        t /= beta                                    # C, indexed by j
+        coh = np.matmul(np.swapaxes(t, -1, -2), beta)   # (..., K_j, K_k)
+        np.square(coh, out=coh)
+        coh *= xcorr - np.diag(np.diagonal(xcorr))   # j != k only
+        t_coh = rd * coh.sum(axis=-2)
 
     # non-coherent interference + beamforming uncertainty
-    load = (eta * gamma).sum(axis=1)              # (M,)
-    t_nc = rd * (beta * (n * load)[:, None]).sum(axis=0)
+    np.multiply(eta, gamma, out=t)
+    load = t.sum(axis=-1)                            # (..., M)
+    np.multiply(beta, n * load[..., None], out=t)
+    t_nc = rd * t.sum(axis=-2)
 
     sinr = num / (t_coh + t_nc + 1.0)
-    return prelog(cfg) * np.log2(1.0 + sinr)
+    return prelog(cfg) * np.log2(1.0 + sinr), load
+
+
+def closed_form_se(sc: Scenario, dec: AllocationDecision,
+                   cfg: SystemConfig) -> np.ndarray:
+    """Per-user spectral efficiency of one decision from the closed-form
+    SINR (see `_se_and_load`)."""
+    return _se_and_load(sc, dec.n_active, dec.eta, cfg)[0]
 
 
 def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
@@ -159,43 +178,62 @@ def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
     return prelog(cfg) * np.log2(1.0 + sinr)
 
 
+def _power(n_active: np.ndarray, load: np.ndarray, se_sum,
+           cfg: SystemConfig):
+    """Network power draw from antenna counts (..., M), per-AP loads
+    (..., M) and sum SEs (...): amplifiers, circuits, and backhaul."""
+    n = n_active.astype(float)
+    # rho_d * N0 equals the radiated downlink power by construction
+    amp = cfg.p_down_watts / cfg.alpha_amp * (n * load).sum(axis=-1)
+    circuit = cfg.p_tc_watts * n.sum(axis=-1)
+    n_on = (n_active > 0).sum(axis=-1)
+    traffic_gbps = cfg.bandwidth_hz * se_sum / 1e9
+    backhaul = n_on * (cfg.p_fix_watts
+                       + traffic_gbps * cfg.p_bt_watts_per_gbps)
+    idle = (n_active.shape[-1] - n_on) * cfg.idle_backhaul_power
+    return amp + circuit + backhaul + idle
+
+
 def total_power(dec: AllocationDecision, se_sum: float, sc: Scenario,
                 cfg: SystemConfig) -> float:
     """Network power draw: amplifiers, circuits, and backhaul."""
     if se_sum < 0:
         raise ValueError("se_sum must be >= 0")
     load = (dec.eta * sc.gamma).sum(axis=1)
-    n = dec.n_active.astype(float)
-    # rho_d * N0 equals the radiated downlink power by construction
-    amp = cfg.p_down_watts / cfg.alpha_amp * float((n * load).sum())
-    circuit = cfg.p_tc_watts * float(n.sum())
-    n_on = len(dec.active)
-    traffic_gbps = cfg.bandwidth_hz * se_sum / 1e9
-    backhaul = n_on * (cfg.p_fix_watts
-                       + traffic_gbps * cfg.p_bt_watts_per_gbps)
-    idle = (dec.n_active.shape[0] - n_on) * cfg.idle_backhaul_power
-    return amp + circuit + backhaul + idle
+    return float(_power(dec.n_active, load, se_sum, cfg))
 
 
-def energy_efficiency(se_sum: float, p_total: float,
-                      cfg: SystemConfig) -> float:
-    """Energy efficiency in bit/J."""
-    if p_total <= 0:
+def energy_efficiency(se_sum, p_total, cfg: SystemConfig):
+    """Energy efficiency in bit/J (elementwise on arrays)."""
+    if np.any(np.asarray(p_total) <= 0):
         raise ValueError("p_total must be > 0 (empty active set?)")
     return cfg.bandwidth_hz * se_sum / p_total
+
+
+def evaluate_batch(sc: Scenario, n_active: np.ndarray, eta: np.ndarray,
+                   cfg: SystemConfig):
+    """Closed-form evaluation of B allocations of one scenario, antenna
+    counts (B, M) and powers (B, M, K) as `alloc.realize_batch` returns
+    them: per-user SE (B, K), and the power draw in watts, the EE in bit/J
+    and the QoS shortfall sum_k max(0, se_min - se_k), each (B,). Row b
+    equals `evaluate` of decision b bit for bit; without the batch axis,
+    every output loses its first axis."""
+    se, load = _se_and_load(sc, n_active, eta, cfg)
+    se_sum = se.sum(axis=-1)
+    p_total = _power(n_active, load, se_sum, cfg)
+    return (se, p_total, energy_efficiency(se_sum, p_total, cfg),
+            np.maximum(0.0, cfg.se_min - se).sum(axis=-1))
 
 
 def evaluate(sc: Scenario, dec: AllocationDecision,
              cfg: SystemConfig) -> PerfReport:
     """Full closed-form evaluation of one decision."""
-    se = closed_form_se(sc, dec, cfg)
-    se_sum = float(se.sum())
-    p_total = total_power(dec, se_sum, sc, cfg)
+    se, p_total, ee, _ = evaluate_batch(sc, dec.n_active, dec.eta, cfg)
     return PerfReport(
         se_per_user=se,
-        se_sum=se_sum,
-        p_total_watts=p_total,
-        ee_bits_per_joule=energy_efficiency(se_sum, p_total, cfg),
+        se_sum=float(se.sum()),
+        p_total_watts=float(p_total),
+        ee_bits_per_joule=float(ee),
         qos_shortfall=np.maximum(0.0, cfg.se_min - se),
     )
 

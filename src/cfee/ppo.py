@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .nets import Adam, MlpParams, forward, forward_cache, backward, init_mlp
+from .nets import Adam, MlpParams, forward, forward_cache, backward, zero_mlp
 
 log = logging.getLogger(__name__)
 
@@ -381,9 +381,8 @@ def load_checkpoint(path):
         header = json.loads(f.read(hlen).decode())
         payload = f.read()
 
-    rng = np.random.default_rng(0)  # shapes only; values overwritten below
-    actor = init_mlp(header["actor_sizes"], rng)
-    critic = init_mlp(header["critic_sizes"], rng)
+    actor = zero_mlp(header["actor_sizes"])
+    critic = zero_mlp(header["critic_sizes"])
     policy = SquashedGaussianPolicy(actor, np.array(header["action_lo"]),
                                     np.array(header["action_hi"]))
     buf = np.frombuffer(payload, dtype="<f8")

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from cfee.alloc import (Action, allocate_antennas, allocate_power, ap_scores,
-                        realize, select_aps)
+                        realize, realize_batch, select_aps)
 from cfee.config import SystemConfig
-from cfee.netgen import Scenario
+from cfee.netgen import Scenario, generate_scenario
+
+DESK = SystemConfig(M=10, K=5, N=8, tau_p=5)
+FULL = SystemConfig(M=40, K=20, N=20, tau_p=20)
+SHARED = SystemConfig(M=10, K=6, N=8, tau_p=2)   # users share pilots
 
 
 def make_scenario(beta, gamma, seed=0):
@@ -168,3 +172,152 @@ class TestRealize:
                          float(rng.uniform(0, 4)), float(rng.uniform(0, 4)))
             dec = realize(act, sc, cfg)
             dec.validate(sc.gamma, cfg.N)
+
+
+# --- the per-action reference and the batched core ------------------------
+
+def loop_allocate_power(gamma, n_active, active, nu):
+    """The per-AP loop form of the power rule, kept as the reference."""
+    eta = np.zeros_like(gamma)
+    for m in active:
+        g = gamma[m]
+        r = g / g.max()
+        eta[m] = r ** (nu - 1.0) / (g.max() * (r ** nu).sum() * n_active[m])
+    return eta
+
+
+def reference_realize(zeta, kappa, nu, sc, N):
+    """One action's allocation by the rules written out AP by AP."""
+    scores = sc.beta.mean(axis=1)
+    M = len(scores)
+    n_on = max(1, int(np.floor(zeta * M + 0.5)))
+    active = np.sort(np.argsort(-scores, kind="stable")[:n_on])
+    log_s = np.log(scores[active])
+    w = np.exp(kappa * (log_s - log_s.max()))
+    n_active = np.zeros(M, dtype=int)
+    n_active[active] = np.minimum(N, np.floor(1.0 + (N - 1) * w).astype(int))
+    return active, n_active, loop_allocate_power(sc.gamma, n_active, active,
+                                                 nu)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_actions(rng, B):
+    return np.column_stack([rng.uniform(0.01, 1.0, B),
+                            rng.uniform(0.0, 4.0, B),
+                            rng.uniform(0.0, 4.0, B)])
+
+
+def assert_rows_match_reference(actions, sc, cfg):
+    active, n_active, eta = realize_batch(actions, sc, cfg)
+    assert active.shape == n_active.shape == (len(actions), sc.M)
+    assert eta.shape == (len(actions), sc.M, sc.K)
+    for b, (zeta, kappa, nu) in enumerate(actions):
+        ref_active, ref_n, ref_eta = reference_realize(
+            float(zeta), float(kappa), float(nu), sc, cfg.N)
+        assert np.array_equal(np.flatnonzero(active[b]), ref_active)
+        assert np.array_equal(n_active[b], ref_n)
+        assert same_bits(eta[b], ref_eta), (b, zeta, kappa, nu)
+        dec = realize(Action(float(zeta), float(kappa), float(nu)), sc, cfg)
+        assert np.array_equal(dec.active, ref_active)
+        assert np.array_equal(dec.n_active, ref_n)
+        assert same_bits(dec.eta, ref_eta)
+
+
+class TestRealizeBatch:
+    @pytest.mark.parametrize("cfg", [DESK, FULL, SHARED],
+                             ids=["desk", "full", "shared_pilots"])
+    def test_random_rows_bit_equal_reference(self, cfg):
+        rng = np.random.default_rng(cfg.M * 100 + cfg.tau_p)
+        for seed in range(3):
+            sc = generate_scenario(cfg, seed)
+            assert_rows_match_reference(random_actions(rng, 60), sc, cfg)
+
+    @pytest.mark.parametrize("cfg", [DESK, FULL, SHARED],
+                             ids=["desk", "full", "shared_pilots"])
+    def test_edge_coefficients_bit_equal_reference(self, cfg):
+        # repeated nu values, nu in {0, 1}, kappa = 0, and zeta M + 0.5
+        # landing exactly on an integer (round-half-up boundaries)
+        sc = generate_scenario(cfg, 7)
+        M = cfg.M
+        zetas = [(j + 0.5) / M for j in range(M)] + [1.0 / M, 1.0]
+        actions = np.array([(z, k, n) for z in zetas
+                            for k in (0.0, 1.5) for n in (0.0, 1.0, 2.5)]
+                           + [(0.5, 2.0, 0.7)] * 4)
+        assert np.floor(actions[0, 0] * M + 0.5) == 1.0
+        assert_rows_match_reference(actions, sc, cfg)
+
+    def test_tied_ap_scores(self):
+        cfg = SystemConfig(M=6, K=3, N=5, tau_p=3)
+        rng = np.random.default_rng(11)
+        row = rng.uniform(1e-9, 1e-7, size=3)
+        beta = np.vstack([row, row * 2, row, row * 2, row, row / 3])
+        sc = make_scenario(beta, beta / 3)
+        actions = np.array([(z, k, n) for z in (1 / 6, 2 / 6, 0.5, 4 / 6, 1.0)
+                            for k in (0.0, 3.0) for n in (0.5, 1.0)])
+        assert_rows_match_reference(actions, sc, cfg)
+        active, _, _ = realize_batch(np.array([[2 / 6, 1.0, 1.0]]), sc, cfg)
+        assert np.array_equal(np.flatnonzero(active[0]), [1, 3])
+
+    def test_allocate_power_bit_equal_loop(self):
+        rng = np.random.default_rng(12)
+        for cfg in (DESK, FULL):
+            sc = generate_scenario(cfg, 3)
+            for _ in range(20):
+                active = np.sort(rng.choice(cfg.M, rng.integers(1, cfg.M + 1),
+                                            replace=False))
+                n_active = np.zeros(cfg.M, dtype=int)
+                n_active[active] = rng.integers(1, cfg.N + 1, len(active))
+                nu = float(rng.choice([0.0, 1.0, rng.uniform(0, 4)]))
+                assert same_bits(
+                    allocate_power(sc.gamma, n_active, active, nu),
+                    loop_allocate_power(sc.gamma, n_active, active, nu))
+
+    def test_single_action_shape(self):
+        sc = generate_scenario(DESK, 1)
+        active, n_active, eta = realize_batch([0.5, 1.0, 2.0], sc, DESK)
+        assert active.shape == (1, 10) and eta.shape == (1, 10, 5)
+
+
+class TestRealizeErrors:
+    """Each ValueError of the one-action path, raised for a batch holding
+    the offending action among valid ones."""
+
+    GOOD = (0.5, 1.0, 1.0)
+
+    def errors(self, action, sc, cfg):
+        msgs = []
+        with pytest.raises(ValueError) as one:
+            realize(Action(*action), sc, cfg)
+        msgs.append(str(one.value))
+        with pytest.raises(ValueError) as batch:
+            realize_batch(np.array([self.GOOD, action, self.GOOD]), sc, cfg)
+        msgs.append(str(batch.value))
+        return msgs
+
+    @pytest.mark.parametrize("action, msg", [
+        ((0.0, 1.0, 1.0), "zeta"), ((1.2, 1.0, 1.0), "zeta"),
+        ((float("nan"), 1.0, 1.0), "zeta"), ((0.5, -0.1, 1.0), "kappa"),
+        ((0.5, 1.0, -0.5), "nu")])
+    def test_bad_coefficient(self, action, msg):
+        sc = generate_scenario(DESK, 0)
+        one, batch = self.errors(action, sc, DESK)
+        assert one == batch and msg in one
+
+    def test_nonpositive_beta(self):
+        sc = generate_scenario(DESK, 0)
+        sc.beta[3, 2] = 0.0
+        one, batch = self.errors(self.GOOD, sc, DESK)
+        assert one == batch == "beta must be positive"
+
+    def test_degenerate_gamma_only_on_active_ap(self):
+        sc = generate_scenario(DESK, 0)
+        weakest = int(np.argmin(ap_scores(sc.beta)))
+        sc.gamma[weakest] = 0.0
+        # the weakest AP is off at zeta = 0.5: no error on either path
+        realize(Action(*self.GOOD), sc, DESK)
+        realize_batch(np.array([self.GOOD] * 2), sc, DESK)
+        one, batch = self.errors((1.0, 1.0, 1.0), sc, DESK)
+        assert one == batch == f"degenerate gamma row at AP {weakest}"

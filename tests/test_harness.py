@@ -11,7 +11,7 @@ from cfee.harness import (bench_runtime, default_grid,
                           load_config, load_policy, parse_grid, policy_action,
                           scheme_action, scheme_bounds, sweep_pbt,
                           train_scheme, validate_se)
-from cfee.alloc import realize
+from cfee.alloc import Action, realize
 from cfee.env import CellFreeEnv, reward_from_report
 from cfee.netgen import Scenario, generate_scenario, save_scenario
 from cfee.perf import evaluate
@@ -101,7 +101,6 @@ class TestGridOracle:
         res = grid_oracle_one(sc, grid, cfg)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            from cfee.alloc import Action
             a = Action(float(rng.choice(grid["zeta"])),
                        float(rng.choice(grid["kappa"])),
                        float(rng.choice(grid["nu"])))
@@ -117,15 +116,46 @@ class TestGridOracle:
             assert b.reward == s.reward
             assert b.action == s.action
 
-    def test_parallel_matches_serial(self, cfg, monkeypatch):
-        scen = held_out_scenarios(cfg, 4, seed=2)
-        grid = default_grid(4, 3, 3)
-        serial = grid_oracle(scen, grid, cfg)
-        monkeypatch.setenv("CF_EE_THREADS", "2")
-        parallel = grid_oracle(scen, grid, cfg)
-        for a, b in zip(serial, parallel):
-            assert a.reward == b.reward
-            assert a.action == b.action
+    def brute_force(self, sc, grid, cfg):
+        """The first strict maximum over every grid point, one action at a
+        time, in (zeta, kappa, nu) order."""
+        best = None
+        for z in grid["zeta"]:
+            for k in grid["kappa"]:
+                for n in grid["nu"]:
+                    a = Action(float(z), float(k), float(n))
+                    r = reward_from_report(
+                        evaluate(sc, realize(a, sc, cfg), cfg), 20.0)
+                    if best is None or r > best[1]:
+                        best = (a, r)
+        return best
+
+    def test_matches_one_action_at_a_time(self, cfg):
+        grid = default_grid(6, 5, 5)
+        for sc in held_out_scenarios(cfg, 2, seed=3):
+            res = grid_oracle_one(sc, grid, cfg)
+            action, reward = self.brute_force(sc, grid, cfg)
+            assert res.action == action
+            assert res.reward == reward
+            assert res.report.ee_mbits_per_joule == res.ee_mbits_per_joule
+
+    def test_ties_break_to_the_lexicographic_first(self, cfg):
+        # zeta 0.05 and 0.1 both switch on only the top AP (n_on = 1 at
+        # M = 5), and with one AP every kappa gives it all N antennas: each
+        # (zeta, kappa) pair ties, so only nu decides; repeated points tie
+        # exactly
+        sc = generate_scenario(cfg, 5)
+        grid = {"zeta": np.array([0.05, 0.1, 0.1]),
+                "kappa": np.array([0.0, 2.0, 2.0, 4.0]),
+                "nu": np.array([0.5, 1.0, 1.0, 3.0])}
+        res = grid_oracle_one(sc, grid, cfg)
+        action, reward = self.brute_force(sc, grid, cfg)
+        assert (res.action.zeta, res.action.kappa) == (0.05, 0.0)
+        assert res.action == action and res.reward == reward
+        repeated = {"zeta": np.array([0.6, 0.6]), "kappa": np.array([1.0]),
+                    "nu": np.array([2.0, 2.0])}
+        res = grid_oracle_one(sc, repeated, cfg)
+        assert res.action == Action(0.6, 1.0, 2.0)
 
 
 class TestTrainEval:
@@ -261,6 +291,35 @@ class TestLoadConfig:
         assert main(["gen", "--config", str(p), "--seed", "0",
                      "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("text, key", [
+        ("system: {M: ten}\n", "M"),
+        ("system: {M: 6.0, K: 3, N: 4, tau_p: 3}\n", "M"),
+        ("system: {N: true}\n", "N"),
+        ("system: {se_min: [1.0]}\n", "se_min"),
+        ("system: {bandwidth_hz: 1e7}\n", "bandwidth_hz"),  # YAML: a str
+        ("ppo: {minibatch: 64.5}\n", "minibatch"),
+        ("ppo: {lr_decay: 1}\n", "lr_decay"),
+        ("ppo: {clip: false}\n", "clip"),
+        ("env: {feature_mode: 3}\n", "feature_mode"),
+        ("env: {episode_length: '32'}\n", "episode_length"),
+        ("master_seed: 1.5\n", "master_seed"),
+    ])
+    def test_value_type_named(self, tmp_path, text, key):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f": {key} must be "):
+            load_config(p)
+        assert main(["gen", "--config", str(p), "--seed", "0",
+                     "--out", str(tmp_path / "s")]) == 2
+
+    def test_int_accepted_for_float(self, tmp_path):
+        p = tmp_path / "ints.yaml"
+        p.write_text("system: {area_side: 1000, se_min: 2}\n"
+                     "ppo: {clip: 1, logstd_floor_init: [-1, -2, -3]}\n")
+        conf = load_config(p)
+        assert conf["system"].area_side == 1000
+        assert conf["ppo"].clip == 1
+
     def test_idle_backhaul_power_validated(self, tmp_path):
         p = tmp_path / "idle.yaml"
         p.write_text("env: {idle_backhaul_power: 0.5}\n")
@@ -315,6 +374,46 @@ class TestCli:
                    str(tmp_path / "eval.csv")])
         assert rc == 0
         assert sorted(calls) == [1, 2, 3]
+
+    def test_eval_takes_dimensions_from_checkpoint(self, cfg, tmp_path,
+                                                    capsys):
+        # an N=4 checkpoint: without --config it runs at N=4, not at the
+        # default N=20
+        scen_dir = tmp_path / "scen"
+        for seed in (1, 2):
+            save_scenario(generate_scenario(cfg, seed), scen_dir / f"s{seed}")
+        ckpt = train_scheme(cfg, "drl_ao", small_hyper(), master_seed=5,
+                            out_dir=tmp_path / "run", episode_length=16,
+                            total_steps=64)
+        conf = tmp_path / "c.yaml"
+        conf.write_text("system: {M: 5, K: 3, N: 4}\n")
+        outs = []
+        for extra in ([], ["--config", str(conf)]):
+            out = tmp_path / f"eval{len(extra)}.csv"
+            assert main(["eval", "--checkpoint", str(ckpt), "--scenarios",
+                         str(scen_dir), "--out", str(out)] + extra) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rows = [line.split(",") for line in outs[0].decode().splitlines()[1:]]
+        # drl_ao gives every active AP all N antennas
+        assert all(int(r[5]) == 4 * int(r[4]) for r in rows)
+
+        conf.write_text("system: {N: 8}\n")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--scenarios",
+                     str(scen_dir), "--config", str(conf), "--out",
+                     str(tmp_path / "bad.csv")]) == 2
+        assert "N=8" in capsys.readouterr().err
+
+    def test_validate_se_fail_names_worst_user(self, capsys):
+        # case seed 1000104 has a user whose SE is about 1e-9 bit/s/Hz; the
+        # relative MC error of that user fails the 3% bound
+        rc = main(["validate-se", "--cases", "1", "--seed", "1000104",
+                   "--realizations", "100000"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        line = out.splitlines()[0]
+        assert "FAIL: worst user 2, closed-form SE 9.81e-10 bit/s/Hz" in line
 
     def test_oracle_csv_deterministic(self, tmp_path):
         conf = tmp_path / "c.yaml"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from cfee.alloc import Action, realize
+from cfee.alloc import Action, realize, realize_batch
 from cfee.config import SystemConfig, noise_power, rho_d
+from cfee.env import batch_rewards, reward_from_report
 from cfee.netgen import Scenario, generate_scenario
 from cfee.perf import (AllocationDecision, check_feasibility, closed_form_se,
-                       energy_efficiency, evaluate, mc_se_oracle, total_power)
+                       energy_efficiency, evaluate, evaluate_batch,
+                       mc_se_oracle, prelog, total_power)
 
 
 def full_power_decision(sc, cfg, n_active=None):
@@ -262,3 +264,89 @@ class TestFeasibility:
                              se_min=float(se.min()))
         v = check_feasibility(sc, dec, cfg_b)
         assert v.qos_ok.all()
+
+
+# --- the per-decision reference and the batched evaluation ----------------
+
+def reference_se(sc, n_active, eta, cfg):
+    """Closed-form SE of one decision in the unbatched two-dimensional
+    form, kept as the reference."""
+    n = n_active.astype(float)
+    rd = rho_d(cfg)
+    sqrt_eta = np.sqrt(eta)
+    num = rd * (sqrt_eta * n[:, None] * sc.gamma).sum(axis=0) ** 2
+    C = n[:, None] * sqrt_eta * sc.gamma / sc.beta
+    coh = sc.pilot_xcorr * (C.T @ sc.beta) ** 2
+    np.fill_diagonal(coh, 0.0)
+    t_coh = rd * coh.sum(axis=0)
+    load = (eta * sc.gamma).sum(axis=1)
+    t_nc = rd * (sc.beta * (n * load)[:, None]).sum(axis=0)
+    return prelog(cfg) * np.log2(1.0 + num / (t_coh + t_nc + 1.0))
+
+
+def reference_power(sc, n_active, eta, se_sum, cfg):
+    load = (eta * sc.gamma).sum(axis=1)
+    n = n_active.astype(float)
+    amp = cfg.p_down_watts / cfg.alpha_amp * float((n * load).sum())
+    circuit = cfg.p_tc_watts * float(n.sum())
+    n_on = int((n_active > 0).sum())
+    backhaul = n_on * (cfg.p_fix_watts + cfg.bandwidth_hz * se_sum / 1e9
+                       * cfg.p_bt_watts_per_gbps)
+    idle = (len(n_active) - n_on) * cfg.idle_backhaul_power
+    return amp + circuit + backhaul + idle
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestEvaluateBatch:
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(M=10, K=5, N=8, tau_p=5),
+        SystemConfig(M=40, K=20, N=20, tau_p=20),
+        SystemConfig(M=10, K=6, N=8, tau_p=2),
+        SystemConfig(M=4, K=3, N=2, tau_p=1, idle_backhaul_power=0.3)],
+        ids=["desk", "full", "shared_pilots", "one_pilot_idle_power"])
+    def test_rows_bit_equal_reference(self, cfg):
+        rng = np.random.default_rng(cfg.M + cfg.tau_p)
+        for seed in range(2):
+            sc = generate_scenario(cfg, seed)
+            B = 40
+            actions = np.column_stack([
+                rng.uniform(0.01, 1, B), rng.uniform(0, 4, B),
+                rng.choice([0.0, 1.0, 2.0, rng.uniform(0, 4)], B)])
+            _, n_active, eta = realize_batch(actions, sc, cfg)
+            se_b, p_b, ee_b, shortfall_b = evaluate_batch(sc, n_active, eta,
+                                                          cfg)
+            rewards = batch_rewards(ee_b, shortfall_b, 20.0)
+            for b in range(B):
+                se = reference_se(sc, n_active[b], eta[b], cfg)
+                se_sum = float(se.sum())
+                p = reference_power(sc, n_active[b], eta[b], se_sum, cfg)
+                assert bits(se_b[b]) == bits(se)
+                assert bits(p_b[b]) == bits(p)
+                assert bits(ee_b[b]) == bits(cfg.bandwidth_hz * se_sum / p)
+                one = evaluate(sc, realize(Action(*actions[b]), sc, cfg),
+                               cfg)
+                assert bits(one.se_per_user) == bits(se)
+                assert bits(one.p_total_watts) == bits(p)
+                assert bits(rewards[b]) == bits(reward_from_report(one, 20.0))
+                assert bits(shortfall_b[b]) == bits(one.qos_shortfall.sum())
+
+    def test_closed_form_matches_reference_on_hand_decisions(self):
+        cfg = SystemConfig(M=3, K=3, N=4, tau_p=1)
+        sc = generate_scenario(cfg, 30)
+        dec = full_power_decision(sc, cfg, n_active=np.array([4, 1, 3]))
+        assert bits(closed_form_se(sc, dec, cfg)) == bits(
+            reference_se(sc, dec.n_active, dec.eta, cfg))
+
+    def test_rejects_bad_eta_in_any_row(self):
+        cfg = SystemConfig(M=3, K=2, N=4, tau_p=2)
+        sc = generate_scenario(cfg, 31)
+        _, n_active, eta = realize_batch(
+            np.array([[1.0, 0.0, 1.0]] * 3), sc, cfg)
+        for bad in (np.nan, np.inf, -1e-9):
+            broken = eta.copy()
+            broken[1, 0, 1] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                evaluate_batch(sc, n_active, broken, cfg)

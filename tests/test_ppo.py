@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+import cfee.nets
+import cfee.ppo
 from cfee.nets import Adam, forward, init_mlp
 from cfee.ppo import (PpoHyper, PpoTrainer, RolloutBuffer,
                       SquashedGaussianPolicy, clip_grad_norm,
@@ -306,6 +308,23 @@ class TestCheckpoint:
         assert meta2 == {"k": 1}
         assert np.array_equal(pol2.params, pol.params)
         assert np.array_equal(critic2.flat, critic.flat)
+
+    def test_load_builds_networks_without_init(self, tmp_path, monkeypatch):
+        pol = make_policy(obs_dim=6, act_dim=3, seed=25, lo=0.0, hi=4.0)
+        pol.logstd[:] = [-0.2, -0.4, -0.6]
+        critic = init_mlp((6, 16, 16, 1), np.random.default_rng(26))
+        path = tmp_path / "fast.ckpt"
+        save_checkpoint(path, pol, critic, PpoHyper(), {})
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint ran init_mlp")
+        monkeypatch.setattr(cfee.nets, "init_mlp", no_init)
+        monkeypatch.setattr(cfee.ppo, "init_mlp", no_init, raising=False)
+        pol2, critic2, _, _ = load_checkpoint(path)
+        assert pol2.params.tobytes() == pol.params.tobytes()
+        assert critic2.flat.tobytes() == critic.flat.tobytes()
+        assert pol2.actor.sizes == pol.actor.sizes
+        assert critic2.sizes == critic.sizes
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
