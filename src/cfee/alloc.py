@@ -24,16 +24,6 @@ class Action:
     kappa: float  # antenna concentration exponent
     nu: float     # fractional power-allocation exponent
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.zeta, self.kappa, self.nu])
-
-    def clipped(self) -> "Action":
-        return Action(
-            zeta=float(np.clip(self.zeta, *ZETA_BOUNDS)),
-            kappa=float(np.clip(self.kappa, *KAPPA_BOUNDS)),
-            nu=float(np.clip(self.nu, *NU_BOUNDS)),
-        )
-
     def in_bounds(self) -> bool:
         return (ZETA_BOUNDS[0] <= self.zeta <= ZETA_BOUNDS[1]
                 and KAPPA_BOUNDS[0] <= self.kappa <= KAPPA_BOUNDS[1]

@@ -40,16 +40,20 @@ def cmd_train(args) -> int:
 
 
 def _eval_config(config_path, meta: dict) -> SystemConfig:
-    """The system to evaluate a checkpoint in: `config_path`'s (defaults
-    without one), with M, K and N from the checkpoint. A config that sets
-    one of them to another value raises ValueError naming it."""
+    """The system to evaluate a checkpoint in: every SystemConfig field the
+    checkpoint records (older checkpoints record only M, K and N), the
+    others from `config_path` (defaults without one). A config that sets a
+    recorded field to another value raises ValueError naming it."""
     conf = load_config(config_path)
-    dims = {f: meta[f] for f in ("M", "K", "N") if f in meta}
-    for f, value in (conf["raw"].get("system") or {}).items():
-        if f in dims and value != dims[f]:
-            raise ValueError(f"{config_path} sets {f}={value!r}, but the "
-                             f"checkpoint was trained with {f}={dims[f]}")
-    return dataclasses.replace(conf["system"], **dims)
+    cfg = conf["system"]
+    recorded = meta.get("system") or {
+        f: meta[f] for f in ("M", "K", "N") if f in meta}
+    for f in conf["system_keys"]:
+        if f in recorded and getattr(cfg, f) != recorded[f]:
+            raise ValueError(f"{config_path} sets {f}={getattr(cfg, f)!r}, "
+                             f"but the checkpoint was trained with "
+                             f"{f}={recorded[f]!r}")
+    return dataclasses.replace(cfg, **recorded)
 
 
 def cmd_eval(args) -> int:

@@ -1,22 +1,24 @@
 # Episodic environment: states are large-scale fading snapshots, actions
-# are the three allocation coefficients, rewards trade EE against QoS.
+# are groups of (zeta, kappa, nu) triples, rewards trade EE against QoS.
 from __future__ import annotations
 
 import logging
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .alloc import Action, realize
+from .alloc import KAPPA_BOUNDS, NU_BOUNDS, ZETA_BOUNDS, realize_batch
 from .config import SystemConfig
 from .netgen import Scenario, scenario_from_rng
-from .perf import PerfReport, evaluate
+from .perf import evaluate_batch
 
 log = logging.getLogger(__name__)
 
 DEFAULT_EPISODE_LENGTH = 200
 DEFAULT_PENALTY = 20.0       # xi_pen, commensurate with EE in Mbit/J
 NORMALIZER_WARMUP_SLOTS = 1000
+# (zeta, kappa, nu) lower and upper bounds
+_ACTION_LO, _ACTION_HI = np.array([ZETA_BOUNDS, KAPPA_BOUNDS, NU_BOUNDS]).T
 
 
 class FeatureNormalizer:
@@ -87,12 +89,6 @@ def batch_rewards(ee_bits_per_joule, qos_shortfall, penalty: float):
     return ee_bits_per_joule / 1e6 - penalty * qos_shortfall
 
 
-def reward_from_report(report: PerfReport, penalty: float) -> float:
-    """EE in Mbit/J minus the weighted QoS shortfall."""
-    return float(batch_rewards(report.ee_bits_per_joule,
-                               report.qos_shortfall.sum(), penalty))
-
-
 class CellFreeEnv:
     """MDP over successive large-scale intervals of one network.
 
@@ -132,23 +128,24 @@ class CellFreeEnv:
         self.slot_index = 1
         return self._observe()
 
-    def step(self, coeffs: Sequence[float]
-             ) -> Tuple[np.ndarray, float, bool]:
-        """Apply (zeta, kappa, nu) to the current slot; returns the next
-        slot's features, the reward and whether the episode ended."""
+    def step(self, coeffs) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """Score every (zeta, kappa, nu) row of `coeffs` ((G, 3), or one
+        triple) on the current slot; returns the next slot's features, the
+        G rewards and whether the episode ended."""
         if self._rng is None:
             raise RuntimeError("call reset() before step()")
-        action = Action(*(float(c) for c in coeffs))
-        if not action.in_bounds():
-            log.warning("action %s out of bounds; clamping", action)
-            action = action.clipped()
-        dec = realize(action, self.scenario, self.cfg)
-        reward = reward_from_report(evaluate(self.scenario, dec, self.cfg),
-                                    self.penalty)
+        actions = np.asarray(coeffs, dtype=float).reshape(-1, 3)
+        if not np.all((_ACTION_LO <= actions) & (actions <= _ACTION_HI)):
+            log.warning("actions %s out of bounds; clamping",
+                        actions.tolist())
+            actions = np.clip(actions, _ACTION_LO, _ACTION_HI)
+        sc = self.scenario
+        _, n_active, eta = realize_batch(actions, sc, self.cfg)
+        _, _, ee, shortfall = evaluate_batch(sc, n_active, eta, self.cfg)
+        rewards = batch_rewards(ee, shortfall, self.penalty)
 
         done = self.slot_index >= self.episode_length
         self.scenario = scenario_from_rng(
-            self.cfg, self._rng, ap_positions=self.scenario.ap_positions,
-            seed=self.scenario.seed)
+            self.cfg, self._rng, ap_positions=sc.ap_positions, seed=sc.seed)
         self.slot_index += 1
-        return self._observe(), reward, done
+        return self._observe(), rewards, done

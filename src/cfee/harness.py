@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
@@ -42,15 +42,23 @@ def scheme_bounds(scheme: str) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
 
+def scheme_coeffs(vecs: np.ndarray, scheme: str) -> np.ndarray:
+    """Expand a scheme's action vectors (..., dim) into full (zeta, kappa,
+    nu) coefficient arrays (..., 3)."""
+    vecs = np.asarray(vecs, dtype=float)
+    if scheme == "proposed":
+        return vecs
+    ones = np.ones(vecs.shape[:-1])
+    if scheme == "drl_ao":
+        return np.stack([vecs[..., 0], np.zeros_like(ones), ones], axis=-1)
+    if scheme == "drl_ap":
+        return np.stack([ones, vecs[..., 0], vecs[..., 1]], axis=-1)
+    raise ValueError(f"unknown scheme '{scheme}'")
+
+
 def scheme_action(vec: np.ndarray, scheme: str) -> Action:
     """Expand a scheme's action vector into the full coefficient triple."""
-    if scheme == "proposed":
-        return Action(float(vec[0]), float(vec[1]), float(vec[2]))
-    if scheme == "drl_ao":
-        return Action(float(vec[0]), 0.0, 1.0)
-    if scheme == "drl_ap":
-        return Action(1.0, float(vec[0]), float(vec[1]))
-    raise ValueError(f"unknown scheme '{scheme}'")
+    return Action(*scheme_coeffs(vec, scheme).tolist())
 
 
 # --- training and evaluation -------------------------------------------
@@ -76,22 +84,24 @@ def train_scheme(cfg: SystemConfig, scheme: str, hyper: PpoHyper,
                       penalty=hyper.penalty, feature_mode=feature_mode)
     rng = np.random.default_rng(master_seed)
     policy = build_policy(scheme, env.feature_dim, rng)
-    critic = init_mlp((env.feature_dim, *HIDDEN_SIZES, 1), rng)
-    trainer = PpoTrainer(
-        env, policy, critic, hyper, master_seed=master_seed,
-        to_coeffs=lambda v: scheme_action(v, scheme).as_array())
+    trainer = PpoTrainer(env, policy, hyper, master_seed=master_seed,
+                         to_coeffs=lambda v: scheme_coeffs(v, scheme))
     trainer.train(total_steps=total_steps,
                   log_path=out_dir / f"train_{scheme}.csv")
     ckpt = out_dir / f"{scheme}.ckpt"
     meta = {
         "scheme": scheme,
         "M": cfg.M, "K": cfg.K, "N": cfg.N,
+        # what evaluation needs; the placement overrides only steer
+        # scenario generation
+        "system": {k: v for k, v in asdict(cfg).items()
+                   if not k.endswith("_override")},
         "normalizer": env.normalizer.state_dict(),
         "feature_mode": feature_mode,
         "episode_length": episode_length,
         "master_seed": master_seed,
     }
-    save_checkpoint(ckpt, policy, critic, hyper, meta)
+    save_checkpoint(ckpt, policy, hyper, meta)
     return ckpt
 
 
@@ -224,8 +234,7 @@ def sweep_pbt(checkpoints: Dict[str, Path], pbt_values: Sequence[float],
     loaded = {name: load_policy(p) for name, p in checkpoints.items()}
     rows = []
     for pbt in pbt_values:
-        cfg_p = SystemConfig(**{**_cfg_dict(cfg),
-                                "p_bt_watts_per_gbps": float(pbt)})
+        cfg_p = replace(cfg, p_bt_watts_per_gbps=float(pbt))
         scenarios = held_out_scenarios(cfg_p, n_scenarios, seed)
         for name, lp in loaded.items():
             results = evaluate_policy(lp, scenarios, cfg_p)
@@ -239,10 +248,6 @@ def sweep_pbt(checkpoints: Dict[str, Path], pbt_values: Sequence[float],
     return rows
 
 
-def _cfg_dict(cfg: SystemConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(SystemConfig)}
-
-
 def bench_runtime(m_values: Sequence[int], cfg: SystemConfig,
                   checkpoint: Optional[Path] = None, n_calls: int = 1000,
                   oracle_grid: Optional[Dict[str, np.ndarray]] = None,
@@ -253,7 +258,7 @@ def bench_runtime(m_values: Sequence[int], cfg: SystemConfig,
     rows = []
     oracle_grid = oracle_grid or default_grid(10, 10, 10)
     for M in m_values:
-        cfg_m = SystemConfig(**{**_cfg_dict(cfg), "M": int(M)})
+        cfg_m = replace(cfg, M=int(M))
         sc = generate_scenario(cfg_m, seed + M)
         if checkpoint is not None:
             lp = load_policy(checkpoint)
@@ -404,8 +409,10 @@ def _checked(block, types: dict, where: str) -> dict:
 
 def load_config(path=None) -> dict:
     """Load the YAML experiment configuration (defaults without a path);
-    see configs/default.yaml for the schema. Returns a dict with 'system',
-    'env', 'ppo' objects. An unknown key raises ValueError naming it."""
+    see configs/default.yaml for the schema. Returns a dict with the
+    'system' and 'ppo' objects, the names of the SystemConfig fields the
+    file sets ('system_keys'), and the env options. An unknown key or an
+    invalid value raises ValueError naming it."""
     raw = None
     if path is not None:
         with open(path) as f:
@@ -422,13 +429,14 @@ def load_config(path=None) -> dict:
                      "idle_backhaul_power": env_block["idle_backhaul_power"]}
     cfg = SystemConfig(**sys_block)
     hyper = PpoHyper(**ppo_block)
+    hyper.validate()
     hyper.penalty = env_block.get("penalty_coefficient", hyper.penalty)
     return {
         "system": cfg,
+        "system_keys": sorted(sys_block),
         "episode_length": env_block.get("episode_length",
                                         DEFAULT_EPISODE_LENGTH),
         "feature_mode": env_block.get("feature_mode", "db_standardized"),
         "ppo": hyper,
         "master_seed": raw.get("master_seed", 0),
-        "raw": raw,
     }

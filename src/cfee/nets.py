@@ -23,7 +23,10 @@ class MlpParams:
         self._shapes = [np.shape(a) for a in arrays]
         # offset of each array in `flat`
         self.starts = np.cumsum([0] + [np.size(a) for a in arrays[:-1]])
-        self.flat = np.concatenate([np.ravel(a) for a in arrays]).astype(float)
+        # the leading empty array gives a network with no layers an empty
+        # `flat`
+        self.flat = np.concatenate(
+            [np.zeros(0)] + [np.ravel(a) for a in arrays]).astype(float)
         self.weights, self.biases = self.views(self.flat)
 
     def views(self, vec: np.ndarray):

@@ -1,5 +1,5 @@
-# Self-contained PPO: squashed-Gaussian policy, GAE, clipped surrogate,
-# actor/critic updates, rollout buffer, and checkpoint I/O.
+# Self-contained critic-free PPO: squashed-Gaussian policy, group-relative
+# advantages, clipped surrogate, rollout buffer, and checkpoint I/O.
 from __future__ import annotations
 
 import json
@@ -20,27 +20,27 @@ LOGSTD_INIT = 0.0  # unit std in squash space: broad initial exploration
 LOGSTD_CLAMP = (-5.0, 1.0)  # keeps exploration from collapsing or blowing up
 _LOG_2PI = np.log(2.0 * np.pi)
 
+# Actions sampled from one policy forward and scored on each visited
+# scenario; each is judged against the others (`group_advantages`).
+GROUP_SIZE = 8
+
 CHECKPOINT_MAGIC = b"CFEECKPT"
 CHECKPOINT_VERSION = 1
 # Options since removed, at the values that describe the current trainer
-# (no KL early stop, no critic-only epochs, Adam). Checkpoint headers keep
-# recording them, so the format and older readers are unchanged.
-RETIRED_HYPER = {"critic_extra_epochs": 0, "optimizer": "adam",
+# (no KL early stop, Adam, and no critic, whose discount was 0). Checkpoint
+# headers keep recording them, so the format and older readers are intact.
+RETIRED_HYPER = {"critic_extra_epochs": 0, "discount": 0.0,
+                 "gae_lambda": 0.95, "lr_critic": 1e-3, "optimizer": "adam",
                  "target_kl": 0.0}
 
 
 @dataclass
 class PpoHyper:
-    # user/shadowing redraws every slot make the env a contextual bandit
-    # (next state independent of the action), so the default discount is 0
-    discount: float = 0.0
-    gae_lambda: float = 0.95
     clip: float = 0.2
     lr_actor: float = 1e-3
-    lr_critic: float = 1e-3
     minibatch: int = 64
     total_steps: int = 300_000
-    rollout_horizon: int = 256
+    rollout_horizon: int = 256  # samples per update, a multiple of GROUP_SIZE
     epochs_per_update: int = 10
     max_grad_norm: float = 0.5
     entropy_coef: float = 0.01  # keeps exploration from collapsing early
@@ -48,16 +48,18 @@ class PpoHyper:
     # held for the first half of training then annealed to
     # LOGSTD_CLAMP[0]; broad early search, precise late placement
     logstd_floor_init: object = -1.2
-    lr_decay: bool = True       # anneal both learning rates linearly to 0
+    lr_decay: bool = True       # anneal the learning rate linearly to 0
     penalty: float = 20.0       # mirrored from the environment
 
     def validate(self):
-        if not (0 <= self.discount <= 1 and 0 <= self.gae_lambda <= 1):
-            raise ValueError("discount and gae_lambda must lie in [0,1]")
-        if self.clip <= 0 or self.lr_actor <= 0 or self.lr_critic <= 0:
-            raise ValueError("clip and learning rates must be > 0")
+        if self.clip <= 0 or self.lr_actor <= 0:
+            raise ValueError("clip and lr_actor must be > 0")
         if self.max_grad_norm <= 0:
             raise ValueError("max_grad_norm must be > 0")
+        if self.rollout_horizon <= 0 or self.rollout_horizon % GROUP_SIZE:
+            raise ValueError(f"rollout_horizon must be a positive multiple "
+                             f"of GROUP_SIZE={GROUP_SIZE}, got "
+                             f"{self.rollout_horizon}")
 
 
 class SquashedGaussianPolicy:
@@ -103,12 +105,14 @@ class SquashedGaussianPolicy:
         jac = (self.hi - self.lo) * s * (1.0 - s)
         return gauss - np.log(np.maximum(jac, 1e-300)).sum(axis=-1)
 
-    def sample(self, state: np.ndarray, rng: np.random.Generator):
-        """Returns (raw sample, squashed action, log-probability)."""
+    def sample(self, state: np.ndarray, rng: np.random.Generator, n: int):
+        """n draws for one state from one actor forward: returns the raw
+        samples (n, dim), the squashed actions (n, dim) and their
+        log-probabilities (n,)."""
         mean = forward(self.actor, state)
         raw = mean + np.exp(self.logstd) * rng.standard_normal(
-            self.action_dim)
-        return raw, self.squash(raw), float(self.log_prob(raw, mean))
+            (n, self.action_dim))
+        return raw, self.squash(raw), self.log_prob(raw, mean)
 
     def deterministic_action(self, state: np.ndarray) -> np.ndarray:
         return self.squash(forward(self.actor, state))
@@ -151,8 +155,21 @@ def clipped_surrogate(ratio: np.ndarray, adv: np.ndarray,
     return np.minimum(ratio * adv, np.clip(ratio, 1 - eps, 1 + eps) * adv)
 
 
+def group_advantages(rewards: np.ndarray) -> np.ndarray:
+    """Advantages of rewards laid out as consecutive groups of GROUP_SIZE
+    samples on one scenario. Each reward is standardized within its group,
+    (r - group mean) / (group std + 1e-8), so the other samples of the
+    scenario are its baseline; the batch is then standardized the same
+    way. A group of equal rewards gets advantage 0."""
+    r = rewards.reshape(-1, GROUP_SIZE)
+    adv = ((r - r.mean(axis=1, keepdims=True))
+           / (r.std(axis=1, keepdims=True) + 1e-8)).ravel()
+    return (adv - adv.mean()) / (adv.std() + 1e-8)
+
+
 class RolloutBuffer:
-    """Fixed-horizon storage for one PPO update."""
+    """Fixed-horizon storage for one PPO update, filled one scenario's
+    group of GROUP_SIZE samples at a time."""
 
     def __init__(self, horizon: int, obs_dim: int, act_dim: int):
         self.horizon = horizon
@@ -160,19 +177,16 @@ class RolloutBuffer:
         self.raws = np.zeros((horizon, act_dim))
         self.logps = np.zeros(horizon)
         self.rewards = np.zeros(horizon)
-        self.values = np.zeros(horizon)
-        self.dones = np.zeros(horizon, dtype=bool)
         self.pos = 0
 
-    def add(self, state, raw, logp, reward, value, done):
-        i = self.pos
-        self.states[i] = state
-        self.raws[i] = raw
-        self.logps[i] = logp
-        self.rewards[i] = reward
-        self.values[i] = value
-        self.dones[i] = done
-        self.pos += 1
+    def add(self, state, raws, logps, rewards):
+        """One scenario's state and the GROUP_SIZE samples drawn on it."""
+        rows = slice(self.pos, self.pos + GROUP_SIZE)
+        self.states[rows] = state
+        self.raws[rows] = raws
+        self.logps[rows] = logps
+        self.rewards[rows] = rewards
+        self.pos += GROUP_SIZE
 
     @property
     def full(self) -> bool:
@@ -182,37 +196,24 @@ class RolloutBuffer:
         self.pos = 0
 
 
-@dataclass
-class UpdateStats:
-    policy_loss: float
-    value_loss: float
-
-
 def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
-               critic: MlpParams, opt_actor: Adam, opt_critic: Adam,
-               hyper: PpoHyper, rng: np.random.Generator,
-               bootstrap_value: float,
+               opt: Adam, hyper: PpoHyper, rng: np.random.Generator,
                logstd_floor: Optional[float] = None,
-               lr_scale: float = 1.0) -> UpdateStats:
-    """One PPO update over a full rollout buffer. `opt_actor` steps
-    `policy.params` and `opt_critic` steps `critic.flat`; their state
+               lr_scale: float = 1.0) -> float:
+    """One PPO update over a full rollout buffer; returns the last
+    minibatch's policy loss. `opt` steps `policy.params`; its state
     carries over from one update to the next."""
     floor = LOGSTD_CLAMP[0] if logstd_floor is None else logstd_floor
     if not buffer.full:
         raise ValueError("rollout buffer not full")
     hyper.validate()
-    adv = gae(buffer.rewards, buffer.values, bootstrap_value, buffer.dones,
-              hyper.discount, hyper.gae_lambda)
-    returns = adv + buffer.values
-    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    opt_actor.lr = hyper.lr_actor * lr_scale
-    opt_critic.lr = hyper.lr_critic * lr_scale
+    adv = group_advantages(buffer.rewards)
+    opt.lr = hyper.lr_actor * lr_scale
     n_actor = policy.actor.n_params()
-    actor_grad = np.empty(policy.params.size)
-    critic_grad = np.empty(critic.n_params())
+    grad = np.empty(policy.params.size)
 
     T = buffer.horizon
-    last_pl, last_vl = 0.0, 0.0
+    policy_loss = 0.0
     for _ in range(hyper.epochs_per_update):
         order = rng.permutation(T)
         for start in range(0, T, hyper.minibatch):
@@ -240,46 +241,36 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
             z = (raws - mean) / std
             # ascend: feed the negated gradient to the descending optimizer
             grad_mean = -(coef[:, None] * (z / std)) / B
-            backward(policy.actor, cache, grad_mean, actor_grad[:n_actor])
-            actor_grad[n_actor:] = \
-                -(coef[:, None] * (z ** 2 - 1.0)).sum(axis=0) / B
+            backward(policy.actor, cache, grad_mean, grad[:n_actor])
+            grad[n_actor:] = -(coef[:, None] * (z ** 2 - 1.0)).sum(axis=0) / B
             # entropy bonus: d/d(logstd) of the Gaussian entropy is 1
-            actor_grad[n_actor:] -= hyper.entropy_coef
-            clip_grad_norm(actor_grad, hyper.max_grad_norm, policy.starts)
-            opt_actor.step(actor_grad)
+            grad[n_actor:] -= hyper.entropy_coef
+            clip_grad_norm(grad, hyper.max_grad_norm, policy.starts)
+            opt.step(grad)
             np.clip(policy.logstd, floor, LOGSTD_CLAMP[1],
                     out=policy.logstd)
-
-            v, vcache = forward_cache(critic, states)
-            err = v[:, 0] - returns[idx]
-            value_loss = 0.5 * float((err ** 2).mean())
-            if not np.isfinite(value_loss):
-                raise RuntimeError("value loss diverged (non-finite)")
-            backward(critic, vcache, (err / B)[:, None], critic_grad)
-            clip_grad_norm(critic_grad, hyper.max_grad_norm, critic.starts)
-            opt_critic.step(critic_grad)
-
-            last_pl, last_vl = policy_loss, value_loss
-    return UpdateStats(policy_loss=last_pl, value_loss=last_vl)
+    return policy_loss
 
 
 class PpoTrainer:
     """Rollout collection plus PPO updates against a minimal env interface:
-    env.reset(seed) -> features and env.step(coeffs) -> (features, reward,
-    done), where `to_coeffs` maps the policy's action vector to the
-    (zeta, kappa, nu) the env steps on and the log averages. The trainer
-    owns the Adam state of both networks. Single-threaded and
-    bit-reproducible for a fixed seed."""
+    env.reset(seed) -> features and env.step(coeffs) -> (features,
+    rewards, done), scoring one (zeta, kappa, nu) row of `coeffs` per
+    action on the current scenario; `to_coeffs` maps the policy's actions
+    to those rows, which the log averages. The env redraws users and
+    shadowing every slot, so the next state does not depend on the action
+    and no critic is needed: GROUP_SIZE actions per visited scenario are
+    judged against each other, and each counts as one step. The trainer
+    owns the Adam state. Single-threaded and bit-reproducible."""
 
-    def __init__(self, env, policy: SquashedGaussianPolicy,
-                 critic: MlpParams, hyper: PpoHyper, master_seed: int,
-                 to_coeffs: Callable[[np.ndarray], Sequence[float]]):
+    def __init__(self, env, policy: SquashedGaussianPolicy, hyper: PpoHyper,
+                 master_seed: int,
+                 to_coeffs: Callable[[np.ndarray], np.ndarray]):
+        hyper.validate()
         self.env = env
         self.policy = policy
-        self.critic = critic
         self.hyper = hyper
-        self.opt_actor = Adam(policy.params, lr=hyper.lr_actor)
-        self.opt_critic = Adam(critic.flat, lr=hyper.lr_critic)
+        self.opt = Adam(policy.params, lr=hyper.lr_actor)
         self.rng = np.random.default_rng(master_seed)
         self.to_coeffs = to_coeffs
 
@@ -297,23 +288,21 @@ class PpoTrainer:
         coeffs = np.zeros((buf.horizon, 3))
         logs: List[dict] = []
         with open(log_path or os.devnull, "w") as log_file:
-            log_file.write("step,mean_reward,policy_loss,value_loss,"
+            log_file.write("step,mean_reward,policy_loss,group_reward_std,"
                            "mean_zeta,mean_kappa,mean_nu\n")
             step = 0
             while step < total_steps:
                 buf.reset()
                 while not buf.full:
-                    raw, action, logp = self.policy.sample(obs, self.rng)
-                    value = float(forward(self.critic, obs)[0])
-                    c = self.to_coeffs(action)
-                    next_obs, reward, done = self.env.step(c)
-                    coeffs[buf.pos] = c
-                    buf.add(obs, raw, logp, reward, value, done)
+                    raws, actions, logps = self.policy.sample(
+                        obs, self.rng, GROUP_SIZE)
+                    c = self.to_coeffs(actions)
+                    next_obs, rewards, done = self.env.step(c)
+                    coeffs[buf.pos:buf.pos + GROUP_SIZE] = c
+                    buf.add(obs, raws, logps, rewards)
                     obs = self.env.reset(self._next_episode_seed()) if done \
                         else next_obs
-                    step += 1
-                bootstrap = 0.0 if buf.dones[-1] else float(
-                    forward(self.critic, obs)[0])
+                step += buf.horizon
                 progress = min(1.0, step / max(1, total_steps))
                 # hold the exploration floor for the first half (cliffs in
                 # the reward stay visible while the mean learns to
@@ -322,15 +311,15 @@ class PpoTrainer:
                 init = np.asarray(hyper.logstd_floor_init, dtype=float)
                 floor = init + anneal * (LOGSTD_CLAMP[0] - init)
                 scale = 1.0 - progress if hyper.lr_decay else 1.0
-                stats = ppo_update(buf, self.policy, self.critic,
-                                   self.opt_actor, self.opt_critic, hyper,
-                                   self.rng, bootstrap, logstd_floor=floor,
-                                   lr_scale=max(scale, 1e-3))
+                policy_loss = ppo_update(buf, self.policy, self.opt, hyper,
+                                         self.rng, logstd_floor=floor,
+                                         lr_scale=max(scale, 1e-3))
+                groups = buf.rewards.reshape(-1, GROUP_SIZE)
                 row = {
                     "step": step,
                     "mean_reward": float(buf.rewards.mean()),
-                    "policy_loss": stats.policy_loss,
-                    "value_loss": stats.value_loss,
+                    "policy_loss": policy_loss,
+                    "group_reward_std": float(groups.std(axis=1).mean()),
                     "mean_zeta": float(coeffs[:, 0].mean()),
                     "mean_kappa": float(coeffs[:, 1].mean()),
                     "mean_nu": float(coeffs[:, 2].mean()),
@@ -345,14 +334,15 @@ class PpoTrainer:
 # --- checkpoint format ----------------------------------------------------
 # magic (8 bytes) | version (u32 LE) | header length (u64 LE) | JSON header |
 # parameters as little-endian float64: policy.params (actor weights and
-# biases, then logstd), then critic.flat.
+# biases, then logstd), then the critic's `flat`, which files written since
+# the critic was removed leave out ("critic_sizes": []).
 
-def save_checkpoint(path, policy: SquashedGaussianPolicy, critic: MlpParams,
-                    hyper: PpoHyper, meta: Optional[dict] = None):
+def save_checkpoint(path, policy: SquashedGaussianPolicy, hyper: PpoHyper,
+                    meta: Optional[dict] = None):
     meta = dict(meta or {})
     header = {
         "actor_sizes": list(policy.actor.sizes),
-        "critic_sizes": list(critic.sizes),
+        "critic_sizes": [],
         "action_lo": policy.lo.tolist(),
         "action_hi": policy.hi.tolist(),
         "hyper": {**asdict(hyper), **RETIRED_HYPER},
@@ -365,11 +355,12 @@ def save_checkpoint(path, policy: SquashedGaussianPolicy, critic: MlpParams,
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         f.write(policy.params.astype("<f8").tobytes())
-        f.write(critic.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (policy, critic, hyper, meta)."""
+    """Returns (policy, critic, hyper, meta). The critic is the one a file
+    written before the critic was removed stores, and a network with no
+    layers otherwise."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != CHECKPOINT_MAGIC:

@@ -163,9 +163,6 @@ def test_criterion_06_training_improvement(proposed_runs, held_out,
     oracle_ee = np.mean([r.ee_mbits_per_joule for r in oracle_results])
     gap = abs(policy_ee - oracle_ee) / oracle_ee
     assert improved >= 4, f"only {improved}/5 seeds improved"
-    # Known red: the stochastic policy hedges the activation ratio above
-    # the per-scenario QoS boundary and plateaus around 75% of the
-    # grid-oracle EE. See "Known limitations" in the README.
     assert gap <= 0.15, (
         f"{improved}/5 seeds improved, but held-out mean EE "
         f"{policy_ee:.3f} vs oracle {oracle_ee:.3f} Mbit/J leaves a gap "

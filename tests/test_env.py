@@ -5,8 +5,7 @@ import pytest
 
 from cfee.alloc import Action, realize
 from cfee.config import SystemConfig
-from cfee.env import (CellFreeEnv, FeatureNormalizer, PerfReport,
-                      reward_from_report)
+from cfee.env import CellFreeEnv, FeatureNormalizer, batch_rewards
 from cfee.perf import evaluate
 
 
@@ -15,30 +14,23 @@ def cfg():
     return SystemConfig(M=4, K=3, N=5, tau_p=3)
 
 
-def make_report(ee_mbits, shortfalls):
-    return PerfReport(se_per_user=np.zeros(len(shortfalls)), se_sum=0.0,
-                      p_total_watts=1.0, ee_bits_per_joule=ee_mbits * 1e6,
-                      qos_shortfall=np.array(shortfalls))
+def reward(ee_mbits, shortfalls, penalty=20.0):
+    return float(batch_rewards(ee_mbits * 1e6, np.sum(shortfalls), penalty))
 
 
 class TestReward:
     def test_no_violation(self):
-        assert reward_from_report(make_report(12.7, [0, 0]), 20.0) == \
-            pytest.approx(12.7)
+        assert reward(12.7, [0, 0]) == pytest.approx(12.7)
 
     def test_hand_value(self):
         # EE 10 Mbit/J, one user 0.5 below the floor: 10 - 20*0.5 = 0
-        assert reward_from_report(make_report(10.0, [0.5, 0.0]), 20.0) == \
-            pytest.approx(0.0)
+        assert reward(10.0, [0.5, 0.0]) == pytest.approx(0.0)
 
     def test_boundary_no_penalty(self):
-        assert reward_from_report(make_report(5.0, [0.0, 0.0, 0.0]),
-                                  20.0) == pytest.approx(5.0)
+        assert reward(5.0, [0.0, 0.0, 0.0]) == pytest.approx(5.0)
 
     def test_penalty_monotone(self):
-        r1 = reward_from_report(make_report(8.0, [0.1]), 20.0)
-        r2 = reward_from_report(make_report(8.0, [0.2]), 20.0)
-        assert r2 < r1
+        assert reward(8.0, [0.2]) < reward(8.0, [0.1])
 
 
 class TestFeatureNormalizer:
@@ -85,10 +77,29 @@ class TestEnv:
         env.reset(7)
         sc = env.scenario
         action = Action(0.5, 1.0, 1.0)
-        _, reward, _ = env.step(action.as_array())
+        _, rewards, _ = env.step((0.5, 1.0, 1.0))
         rep = evaluate(sc, realize(action, sc, cfg), cfg)
         expected = rep.ee_mbits_per_joule - 20.0 * rep.qos_shortfall.sum()
-        assert reward == pytest.approx(expected, rel=1e-15)
+        assert rewards.shape == (1,)
+        assert rewards[0] == pytest.approx(expected, rel=1e-15)
+
+    def test_group_rewards_match_one_action_path(self, cfg):
+        # one step scores a group on one scenario; each reward has the bits
+        # of realize + evaluate on that action alone
+        env = CellFreeEnv(cfg, penalty=20.0)
+        env.reset(8)
+        sc = env.scenario
+        rng = np.random.default_rng(0)
+        group = np.column_stack([rng.uniform(0.05, 1.0, 8),
+                                 rng.uniform(0.0, 4.0, 8),
+                                 rng.uniform(0.0, 4.0, 8)])
+        group[3] = group[5]
+        _, rewards, _ = env.step(group)
+        assert rewards.shape == (8,)
+        for a, r in zip(group, rewards):
+            rep = evaluate(sc, realize(Action(*a), sc, cfg), cfg)
+            assert r == batch_rewards(rep.ee_bits_per_joule,
+                                      rep.qos_shortfall.sum(), 20.0)
 
     def test_episode_terminates(self, cfg):
         env = CellFreeEnv(cfg, episode_length=3)
@@ -106,7 +117,7 @@ class TestEnv:
             out = []
             for _ in range(n):
                 _, r, _ = env.step((0.7, 0.5, 1.5))
-                out.append(r)
+                out += r.tolist()
             return out
 
         assert run(4) == run(4)
@@ -126,9 +137,13 @@ class TestEnv:
         env = CellFreeEnv(cfg)
         env.reset(2)
         with caplog.at_level(logging.WARNING, logger="cfee.env"):
-            _, reward, _ = env.step((2.0, -1.0, 9.0))
+            _, rewards, _ = env.step([(2.0, -1.0, 9.0), (0.5, 1.0, 1.0)])
         assert "clamp" in caplog.text
-        assert np.isfinite(reward)
+        # only the offending row moves, to the nearest corner of the box
+        inside = CellFreeEnv(cfg)
+        inside.reset(2)
+        _, expected, _ = inside.step([(1.0, 0.0, 4.0), (0.5, 1.0, 1.0)])
+        assert np.array_equal(rewards, expected)
 
     def test_raw_feature_mode(self, cfg):
         env = CellFreeEnv(cfg, feature_mode="raw")

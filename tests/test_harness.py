@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,10 @@ from cfee.harness import (bench_runtime, default_grid,
                           evaluate_policy, grid_oracle, grid_oracle_one,
                           held_out_scenarios, latency_growth_exponent,
                           load_config, load_policy, parse_grid, policy_action,
-                          scheme_action, scheme_bounds, sweep_pbt,
-                          train_scheme, validate_se)
+                          scheme_action, scheme_bounds, scheme_coeffs,
+                          sweep_pbt, train_scheme, validate_se)
 from cfee.alloc import Action, realize
-from cfee.env import CellFreeEnv, reward_from_report
+from cfee.env import CellFreeEnv, batch_rewards
 from cfee.netgen import Scenario, generate_scenario, save_scenario
 from cfee.perf import evaluate
 from cfee.ppo import PpoHyper
@@ -21,6 +24,11 @@ from cfee.ppo import PpoHyper
 @pytest.fixture
 def cfg():
     return SystemConfig(M=5, K=3, N=4, tau_p=3)
+
+
+def reward_of(rep):
+    return float(batch_rewards(rep.ee_bits_per_joule,
+                               rep.qos_shortfall.sum(), 20.0))
 
 
 def small_hyper(**kw):
@@ -41,6 +49,19 @@ class TestSchemes:
         a = scheme_action(np.array([0.4]), "drl_ao")
         assert (a.zeta, a.kappa, a.nu) == (0.4, 0.0, 1.0)
 
+    def test_coeff_rows_match_one_action(self):
+        rng = np.random.default_rng(0)
+        for scheme in ("proposed", "drl_ao", "drl_ap"):
+            lo, hi = scheme_bounds(scheme)
+            vecs = rng.uniform(lo, hi, size=(8, len(lo)))
+            rows = scheme_coeffs(vecs, scheme)
+            assert rows.shape == (8, 3)
+            for v, row in zip(vecs, rows):
+                a = scheme_action(v, scheme)
+                assert tuple(row) == (a.zeta, a.kappa, a.nu)
+        with pytest.raises(ValueError):
+            scheme_coeffs(vecs, "nope")
+
     def test_drl_ap_keeps_all_aps(self, cfg):
         sc = generate_scenario(cfg, 0)
         a = scheme_action(np.array([2.0, 0.5]), "drl_ap")
@@ -57,9 +78,9 @@ class TestSchemes:
         env = CellFreeEnv(cfg, episode_length=2)
         obs = env.reset(5)
         assert obs.shape == (cfg.M * cfg.K,)
-        coeffs = scheme_action(np.array([0.5]), "drl_ao").as_array()
-        obs2, reward, done = env.step(coeffs)
-        assert np.isfinite(reward) and not done
+        coeffs = scheme_coeffs(np.array([0.5]), "drl_ao")
+        obs2, rewards, done = env.step(coeffs)
+        assert np.all(np.isfinite(rewards)) and not done
         _, _, done = env.step(coeffs)
         assert done
 
@@ -91,7 +112,7 @@ class TestGridOracle:
         assert (res.action.zeta, res.action.kappa, res.action.nu) == \
             (0.7, 1.0, 0.5)
         rep = evaluate(sc, realize(res.action, sc, cfg), cfg)
-        assert res.reward == pytest.approx(reward_from_report(rep, 20.0))
+        assert res.reward == pytest.approx(reward_of(rep))
         assert res.ee_mbits_per_joule == pytest.approx(
             rep.ee_mbits_per_joule)
 
@@ -105,7 +126,7 @@ class TestGridOracle:
                        float(rng.choice(grid["kappa"])),
                        float(rng.choice(grid["nu"])))
             rep = evaluate(sc, realize(a, sc, cfg), cfg)
-            assert reward_from_report(rep, 20.0) <= res.reward + 1e-12
+            assert reward_of(rep) <= res.reward + 1e-12
 
     def test_results_ordered_like_input(self, cfg):
         scen = held_out_scenarios(cfg, 3, seed=1)
@@ -124,8 +145,7 @@ class TestGridOracle:
             for k in grid["kappa"]:
                 for n in grid["nu"]:
                     a = Action(float(z), float(k), float(n))
-                    r = reward_from_report(
-                        evaluate(sc, realize(a, sc, cfg), cfg), 20.0)
+                    r = reward_of(evaluate(sc, realize(a, sc, cfg), cfg))
                     if best is None or r > best[1]:
                         best = (a, r)
         return best
@@ -404,6 +424,67 @@ class TestCli:
                      str(scen_dir), "--config", str(conf), "--out",
                      str(tmp_path / "bad.csv")]) == 2
         assert "N=8" in capsys.readouterr().err
+
+    def test_eval_takes_system_from_checkpoint(self, cfg, tmp_path,
+                                               capsys):
+        # a tau_p=3 checkpoint: without --config it runs at tau_p=3, not at
+        # the default 20, which changes the pre-log and so the EE
+        scen_dir = tmp_path / "scen"
+        scenarios = [generate_scenario(cfg, seed) for seed in (1, 2)]
+        for sc in scenarios:
+            save_scenario(sc, scen_dir / f"s{sc.seed}")
+        ckpt = train_scheme(cfg, "drl_ao", small_hyper(), master_seed=6,
+                            out_dir=tmp_path / "run", episode_length=16,
+                            total_steps=64)
+        conf = tmp_path / "c.yaml"
+        conf.write_text("system: {M: 5, K: 3, N: 4, tau_p: 3}\n")
+        outs = []
+        for extra in ([], ["--config", str(conf)]):
+            out = tmp_path / f"eval{len(extra)}.csv"
+            assert main(["eval", "--checkpoint", str(ckpt), "--scenarios",
+                         str(scen_dir), "--out", str(out)] + extra) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        ees = [float(line.split(",")[8]) for line in
+               outs[0].splitlines()[1:]]
+        lp = load_policy(ckpt)
+        default_tau_p = SystemConfig(M=5, K=3, N=4)
+        for sc, ee in zip(scenarios, ees):
+            action = policy_action(sc, lp)
+            assert ee == float("%.12g" % evaluate(
+                sc, realize(action, sc, cfg), cfg).ee_mbits_per_joule)
+            assert ee != float("%.12g" % evaluate(
+                sc, realize(action, sc, default_tau_p),
+                default_tau_p).ee_mbits_per_joule)
+
+        for text, field in (("system: {tau_p: 20}\n", "tau_p=20"),
+                            ("env: {idle_backhaul_power: 0.5}\n",
+                             "idle_backhaul_power=0.5")):
+            conf.write_text(text)
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(ckpt), "--scenarios",
+                         str(scen_dir), "--config", str(conf), "--out",
+                         str(tmp_path / "bad.csv")]) == 2
+            assert field in capsys.readouterr().err
+
+        # a checkpoint that records only M, K and N runs at the config's
+        # other fields (the defaults without a config), as before
+        blob = ckpt.read_bytes()
+        hlen, = struct.unpack("<Q", blob[12:20])
+        header = json.loads(blob[20:20 + hlen])
+        del header["meta"]["system"]
+        new = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new
+                         + blob[20 + hlen:])
+        out = tmp_path / "mkn.csv"
+        assert main(["eval", "--checkpoint", str(ckpt), "--scenarios",
+                     str(scen_dir), "--out", str(out)]) == 0
+        ees = [float(line.split(",")[8]) for line in
+               out.read_text().splitlines()[1:]]
+        assert ees[0] == float("%.12g" % evaluate(
+            scenarios[0], realize(policy_action(scenarios[0], lp),
+                                  scenarios[0], default_tau_p),
+            default_tau_p).ee_mbits_per_joule)
 
     def test_validate_se_fail_names_worst_user(self, capsys):
         # case seed 1000104 has a user whose SE is about 1e-9 bit/s/Hz; the

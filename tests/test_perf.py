@@ -3,7 +3,7 @@ import pytest
 
 from cfee.alloc import Action, realize, realize_batch
 from cfee.config import SystemConfig, noise_power, rho_d
-from cfee.env import batch_rewards, reward_from_report
+from cfee.env import batch_rewards
 from cfee.netgen import Scenario, generate_scenario
 from cfee.perf import (AllocationDecision, check_feasibility, closed_form_se,
                        energy_efficiency, evaluate, evaluate_batch,
@@ -330,7 +330,8 @@ class TestEvaluateBatch:
                                cfg)
                 assert bits(one.se_per_user) == bits(se)
                 assert bits(one.p_total_watts) == bits(p)
-                assert bits(rewards[b]) == bits(reward_from_report(one, 20.0))
+                assert bits(rewards[b]) == bits(batch_rewards(
+                    one.ee_bits_per_joule, one.qos_shortfall.sum(), 20.0))
                 assert bits(shortfall_b[b]) == bits(one.qos_shortfall.sum())
 
     def test_closed_form_matches_reference_on_hand_decisions(self):

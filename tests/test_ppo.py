@@ -1,17 +1,19 @@
 import json
 import logging
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import cfee.nets
 import cfee.ppo
+from cfee.harness import load_config
 from cfee.nets import Adam, forward, init_mlp
-from cfee.ppo import (PpoHyper, PpoTrainer, RolloutBuffer,
+from cfee.ppo import (GROUP_SIZE, PpoHyper, PpoTrainer, RolloutBuffer,
                       SquashedGaussianPolicy, clip_grad_norm,
-                      clipped_surrogate, gae, load_checkpoint, ppo_update,
-                      save_checkpoint)
+                      clipped_surrogate, gae, group_advantages,
+                      load_checkpoint, ppo_update, save_checkpoint)
 
 
 def make_policy(obs_dim=4, act_dim=2, seed=0, lo=-1.0, hi=1.0):
@@ -36,9 +38,9 @@ class TestSampling:
         pol = make_policy()
         pol.logstd[:] = -20.0
         state = np.ones(4)
-        raw, action, _ = pol.sample(state, np.random.default_rng(2))
+        raw, action, _ = pol.sample(state, np.random.default_rng(2), 1)
         det = pol.deterministic_action(state)
-        assert np.allclose(action, det, atol=1e-6)
+        assert np.allclose(action[0], det, atol=1e-6)
 
     def test_log_prob_matches_histogram(self):
         # 1D squashed gaussian: histogram density vs exp(log_prob)
@@ -63,10 +65,11 @@ class TestSampling:
         pol = make_policy()
         rng = np.random.default_rng(4)
         state = rng.normal(size=4)
-        raw, action, logp = pol.sample(state, rng)
+        raw, action, logp = pol.sample(state, rng, GROUP_SIZE)
         mean = forward(pol.actor, state)
-        assert logp == pytest.approx(float(pol.log_prob(raw, mean)))
-        assert np.allclose(action, pol.squash(raw))
+        assert raw.shape == action.shape == (GROUP_SIZE, 2)
+        assert np.array_equal(logp, pol.log_prob(raw, mean))
+        assert np.array_equal(action, pol.squash(raw))
 
 
 class TestGae:
@@ -131,179 +134,235 @@ class TestClippedSurrogate:
         assert np.all(surr <= 1.2 * adv + 1e-12)
 
 
-def optimizers(policy, critic, hyper):
-    return (Adam(policy.params, lr=hyper.lr_actor),
-            Adam(critic.flat, lr=hyper.lr_critic))
+def fill_buffer(buf, policy, rewards_fn, rng):
+    """One group per random state; rewards_fn(state, actions) gives the
+    group's rewards."""
+    for _ in range(buf.horizon // GROUP_SIZE):
+        state = rng.normal(size=buf.states.shape[1])
+        raws, actions, logps = policy.sample(state, rng, GROUP_SIZE)
+        buf.add(state, raws, logps, rewards_fn(state, actions))
 
 
-def fill_buffer(buf, policy, critic, rewards_fn, rng):
-    obs = rng.normal(size=(buf.horizon, buf.states.shape[1]))
-    for i in range(buf.horizon):
-        raw, action, logp = policy.sample(obs[i], rng)
-        v = float(forward(critic, obs[i])[0])
-        buf.add(obs[i], raw, logp, rewards_fn(obs[i], action), v,
-                i == buf.horizon - 1)
+def pad_to_coeffs(actions):
+    """(G, dim) actions as the first columns of (G, 3) coefficient rows."""
+    return np.pad(actions, ((0, 0), (0, 3 - actions.shape[1])))
+
+
+class GroupEnv:
+    """A contextual bandit with Gaussian states; `reward(coeffs)` scores
+    each (G, 3) group of coefficient rows. Counts its steps."""
+
+    def __init__(self, reward, obs_dim=3, episode_length=16):
+        self.reward = reward
+        self.obs_dim = obs_dim
+        self.episode_length = episode_length
+        self.steps = []
+
+    def reset(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.t = 0
+        return self.rng.normal(size=self.obs_dim)
+
+    def step(self, coeffs):
+        self.steps.append(np.shape(coeffs))
+        self.t += 1
+        return (self.rng.normal(size=self.obs_dim), self.reward(coeffs),
+                self.t >= self.episode_length)
+
+
+class TestGroupAdvantages:
+    def test_shift_of_one_group_leaves_advantages(self):
+        rng = np.random.default_rng(40)
+        rewards = rng.normal(size=32 * GROUP_SIZE)
+        shifted = rewards.copy()
+        shifted[3 * GROUP_SIZE:4 * GROUP_SIZE] += 17.5
+        assert np.allclose(group_advantages(shifted),
+                           group_advantages(rewards), rtol=0, atol=1e-12)
+
+    def test_identical_rewards_give_zero_not_nan(self):
+        assert np.array_equal(group_advantages(np.full(64, 0.1)),
+                              np.zeros(64))
+        rewards = np.random.default_rng(41).normal(size=64)
+        rewards[:GROUP_SIZE] = -3.7
+        adv = group_advantages(rewards)
+        assert np.all(np.isfinite(adv))
+        assert np.max(np.abs(adv[:GROUP_SIZE])) < 1e-12
+
+    def test_within_group_standardized(self):
+        rng = np.random.default_rng(42)
+        rewards = rng.normal(size=4 * GROUP_SIZE) * np.repeat(
+            [1.0, 10.0, 0.1, 3.0], GROUP_SIZE)
+        adv = group_advantages(rewards).reshape(-1, GROUP_SIZE)
+        assert np.allclose(adv.mean(axis=1), 0.0, atol=1e-12)
+        assert np.allclose(adv.std(axis=1), 1.0, atol=1e-6)
+
+    def test_horizon_must_be_multiple_of_group(self, tmp_path):
+        with pytest.raises(ValueError, match="rollout_horizon"):
+            PpoHyper(rollout_horizon=GROUP_SIZE * 8 + 4).validate()
+        p = tmp_path / "c.yaml"
+        p.write_text(f"ppo: {{rollout_horizon: {GROUP_SIZE * 8 + 4}}}\n")
+        with pytest.raises(ValueError, match="rollout_horizon"):
+            load_config(p)
 
 
 class TestUpdate:
     def test_zero_advantage_leaves_actor(self):
         pol = make_policy()
-        critic = init_mlp((4, 16, 16, 1), np.random.default_rng(8))
         rng = np.random.default_rng(9)
         buf = RolloutBuffer(64, 4, 2)
-        fill_buffer(buf, pol, critic, lambda s, a: 0.0, rng)
-        # make every advantage exactly zero: constant rewards equal to
-        # values along a done-every-step sequence
-        buf.dones[:] = True
-        buf.rewards[:] = 1.0
-        buf.values[:] = 1.0
+        # a reward that depends on the state only: every group is constant
+        fill_buffer(buf, pol, lambda s, a: np.full(len(a), s[0]), rng)
         before = pol.actor.flat.copy()
         hyper = PpoHyper(rollout_horizon=64, epochs_per_update=2,
                          minibatch=32)
-        ppo_update(buf, pol, critic, *optimizers(pol, critic, hyper), hyper,
-                   rng, 0.0)
+        ppo_update(buf, pol, Adam(pol.params, lr=hyper.lr_actor), hyper, rng)
         after = pol.actor.flat
         assert np.max(np.abs(after - before)) < 1e-6
 
-    def test_critic_regresses_to_return(self):
-        pol = make_policy()
-        rng = np.random.default_rng(10)
-        critic = init_mlp((4, 16, 16, 1), rng)
-        state = rng.normal(size=4)
-        buf = RolloutBuffer(64, 4, 2)
-        for i in range(64):
-            raw, _, logp = pol.sample(state, rng)
-            buf.add(state, raw, logp, 3.0,
-                    float(forward(critic, state)[0]), True)
-        hyper = PpoHyper(rollout_horizon=64, epochs_per_update=5,
-                         minibatch=64, lr_critic=1e-2)
-        opts = optimizers(pol, critic, hyper)
-        errs = []
-        for _ in range(30):
-            errs.append(abs(float(forward(critic, state)[0]) - 3.0))
-            ppo_update(buf, pol, critic, *opts, hyper, rng, 0.0)
-        assert errs[-1] < 0.05
-        assert errs[-1] < errs[0]
-
     def test_bandit_moves_to_rewarding_bound(self):
         # reward = action: the optimum sits at the upper bound
-        class Bandit:
-            def __init__(self):
-                self.t = 0
-
-            def reset(self, seed):
-                self.rng = np.random.default_rng(seed)
-                self.t = 0
-                return self.rng.normal(size=3)
-
-            def step(self, a):
-                self.t += 1
-                return self.rng.normal(size=3), float(a[0]), self.t >= 16
-
         rng = np.random.default_rng(11)
         pol = SquashedGaussianPolicy(
             init_mlp((3, 16, 16, 1), rng, final_scale=0.01),
             np.array([-1.0]), np.array([1.0]))
-        critic = init_mlp((3, 16, 16, 1), rng)
         hyper = PpoHyper(rollout_horizon=128, epochs_per_update=10,
                          minibatch=64)
-        trainer = PpoTrainer(Bandit(), pol, critic, hyper, master_seed=0,
-                             to_coeffs=lambda v: (v[0], 0.0, 0.0))
+        trainer = PpoTrainer(GroupEnv(lambda c: c[:, 0]), pol, hyper,
+                             master_seed=0, to_coeffs=pad_to_coeffs)
         logs = trainer.train(total_steps=128 * 60)
         assert logs[-1]["mean_zeta"] > 0.5  # mean action toward +1
         assert logs[-1]["mean_reward"] > logs[0]["mean_reward"]
 
+    def test_one_env_step_per_group(self, tmp_path):
+        rng = np.random.default_rng(14)
+        pol = SquashedGaussianPolicy(init_mlp((3, 8, 1), rng),
+                                     np.array([0.0]), np.array([1.0]))
+        hyper = PpoHyper(rollout_horizon=64, epochs_per_update=1,
+                         minibatch=32)
+        env = GroupEnv(lambda c: c[:, 0] * np.arange(len(c)))
+        trainer = PpoTrainer(env, pol, hyper, master_seed=1,
+                             to_coeffs=pad_to_coeffs)
+        logs = trainer.train(total_steps=64, log_path=tmp_path / "log.csv")
+        assert env.steps == [(GROUP_SIZE, 3)] * (64 // GROUP_SIZE)
+        assert [row["step"] for row in logs] == [64]
+        header = (tmp_path / "log.csv").read_text().splitlines()[0]
+        assert header.split(",")[3] == "group_reward_std"
+        assert logs[0]["group_reward_std"] > 0
+
     def test_divergence_guard(self):
         pol = make_policy()
-        critic = init_mlp((4, 16, 16, 1), np.random.default_rng(12))
         rng = np.random.default_rng(13)
         buf = RolloutBuffer(32, 4, 2)
-        fill_buffer(buf, pol, critic, lambda s, a: 1.0, rng)
+        fill_buffer(buf, pol, lambda s, a: rng.normal(size=len(a)), rng)
         buf.rewards[0] = np.nan
         hyper = PpoHyper(rollout_horizon=32, minibatch=32)
         with pytest.raises(RuntimeError):
-            ppo_update(buf, pol, critic, *optimizers(pol, critic, hyper),
-                       hyper, rng, 0.0)
+            ppo_update(buf, pol, Adam(pol.params, lr=hyper.lr_actor), hyper,
+                       rng)
 
 
 class TestDeterminism:
     def test_training_bit_reproducible(self):
-        class Env:
-            def reset(self, seed):
-                self.rng = np.random.default_rng(seed)
-                self.t = 0
-                return self.rng.normal(size=3)
-
-            def step(self, a):
-                self.t += 1
-                return (self.rng.normal(size=3),
-                        float(a[0] - a[0] ** 2), self.t >= 8)
-
         def run():
             rng = np.random.default_rng(5)
             pol = SquashedGaussianPolicy(
                 init_mlp((3, 8, 8, 1), rng), np.array([0.0]),
                 np.array([1.0]))
-            critic = init_mlp((3, 8, 8, 1), rng)
             hyper = PpoHyper(rollout_horizon=32, epochs_per_update=2,
                              minibatch=16)
-            trainer = PpoTrainer(Env(), pol, critic, hyper, master_seed=7,
-                                 to_coeffs=lambda v: (v[0], 0, 0))
+            env = GroupEnv(lambda c: c[:, 0] - c[:, 0] ** 2,
+                           episode_length=8)
+            trainer = PpoTrainer(env, pol, hyper, master_seed=7,
+                                 to_coeffs=pad_to_coeffs)
             trainer.train(total_steps=128)
-            return pol.params.copy(), critic.flat.copy()
+            return pol.params.copy()
 
-        a1, c1 = run()
-        a2, c2 = run()
-        assert np.array_equal(a1, a2)
-        assert np.array_equal(c1, c2)
+        assert np.array_equal(run(), run())
+
+
+def header_and_payload(path):
+    blob = path.read_bytes()
+    hlen, = struct.unpack("<Q", blob[12:20])
+    return json.loads(blob[20:20 + hlen]), blob[20 + hlen:]
+
+
+def write_critic_checkpoint(path, policy, critic, hyper_fields, meta):
+    """A version-1 file as written while PPO had a critic: the critic's
+    sizes in the header and its parameters after the policy's."""
+    header = {
+        "actor_sizes": list(policy.actor.sizes),
+        "critic_sizes": list(critic.sizes),
+        "action_lo": policy.lo.tolist(),
+        "action_hi": policy.hi.tolist(),
+        "hyper": hyper_fields,
+        "meta": meta,
+    }
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"CFEECKPT" + struct.pack("<I", 1)
+                     + struct.pack("<Q", len(blob)) + blob
+                     + policy.params.astype("<f8").tobytes()
+                     + critic.flat.astype("<f8").tobytes())
+
+
+def critic_era_hyper(**fields):
+    """PpoHyper fields as a critic-era header recorded them."""
+    return {**asdict(PpoHyper(clip=0.3)), "discount": 0.0,
+            "gae_lambda": 0.95, "lr_critic": 1e-3, "critic_extra_epochs": 0,
+            "optimizer": "adam", "target_kl": 0.0, **fields}
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         pol = make_policy(obs_dim=6, act_dim=3, seed=20, lo=0.0, hi=4.0)
         pol.logstd[:] = [-0.3, -0.5, -0.7]
-        critic = init_mlp((6, 16, 16, 1), np.random.default_rng(21))
         hyper = PpoHyper(rollout_horizon=512)
         meta = {"scheme": "proposed", "note": "test"}
         path = tmp_path / "test.ckpt"
-        save_checkpoint(path, pol, critic, hyper, meta)
+        save_checkpoint(path, pol, hyper, meta)
         pol2, critic2, hyper2, meta2 = load_checkpoint(path)
         assert meta2 == meta
         assert hyper2 == hyper
-        assert np.array_equal(pol2.logstd, pol.logstd)
+        assert pol2.params.tobytes() == pol.params.tobytes()
         assert np.array_equal(pol2.lo, pol.lo)
-        for a, b in zip(pol.actor.arrays(), pol2.actor.arrays()):
-            assert np.array_equal(a, b)
-        for a, b in zip(critic.arrays(), critic2.arrays()):
-            assert np.array_equal(a, b)
+        assert critic2.n_params() == 0 and critic2.arrays() == []
+        header, payload = header_and_payload(path)
+        assert header["critic_sizes"] == []
+        assert payload == pol.params.astype("<f8").tobytes()
         x = np.random.default_rng(22).normal(size=6)
-        assert np.allclose(pol2.deterministic_action(x),
-                           pol.deterministic_action(x))
+        assert np.array_equal(pol2.deterministic_action(x),
+                              pol.deterministic_action(x))
 
-    def test_legacy_hyper_fields_dropped(self, tmp_path, caplog):
-        # headers written before KL early stopping, critic-only epochs and
-        # the optimizer choice were removed carry those fields
+    def test_critic_file_loads_silently(self, tmp_path, caplog):
         pol = make_policy(obs_dim=5, act_dim=3, seed=23)
         critic = init_mlp((5, 16, 16, 1), np.random.default_rng(24))
         path = tmp_path / "old.ckpt"
-        save_checkpoint(path, pol, critic, PpoHyper(clip=0.3), {"k": 1})
+        write_critic_checkpoint(path, pol, critic, critic_era_hyper(),
+                                {"k": 1})
         with caplog.at_level(logging.WARNING, logger="cfee.ppo"):
-            load_checkpoint(path)
+            pol2, critic2, hyper2, meta2 = load_checkpoint(path)
         assert caplog.text == ""   # the retired fields at their defaults
+        assert hyper2 == PpoHyper(clip=0.3)
+        assert meta2 == {"k": 1}
+        assert pol2.params.tobytes() == pol.params.tobytes()
+        assert critic2.sizes == critic.sizes
+        assert critic2.flat.tobytes() == critic.flat.tobytes()
 
-        blob = path.read_bytes()
-        hlen, = struct.unpack("<Q", blob[12:20])
-        header = json.loads(blob[20:20 + hlen])
-        header["hyper"].update(target_kl=0.02, critic_extra_epochs=3,
-                               optimizer="sgd")
-        new = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new
-                         + blob[20 + hlen:])
+    def test_legacy_hyper_fields_dropped(self, tmp_path, caplog):
+        # headers written with KL early stopping, critic-only epochs, the
+        # optimizer choice or a discounted critic carry those fields
+        pol = make_policy(obs_dim=5, act_dim=3, seed=23)
+        critic = init_mlp((5, 16, 16, 1), np.random.default_rng(24))
+        path = tmp_path / "old.ckpt"
+        write_critic_checkpoint(
+            path, pol, critic,
+            critic_era_hyper(target_kl=0.02, critic_extra_epochs=3,
+                             optimizer="sgd", discount=0.99), {"k": 1})
         with caplog.at_level(logging.WARNING, logger="cfee.ppo"):
             pol2, critic2, hyper2, meta2 = load_checkpoint(path)
         for name in ("target_kl=0.02", "critic_extra_epochs=3",
-                     "optimizer='sgd'"):
+                     "optimizer='sgd'", "discount=0.99"):
             assert name in caplog.text
+        assert "gae_lambda" not in caplog.text
         assert hyper2 == PpoHyper(clip=0.3)
         assert meta2 == {"k": 1}
         assert np.array_equal(pol2.params, pol.params)
@@ -314,7 +373,7 @@ class TestCheckpoint:
         pol.logstd[:] = [-0.2, -0.4, -0.6]
         critic = init_mlp((6, 16, 16, 1), np.random.default_rng(26))
         path = tmp_path / "fast.ckpt"
-        save_checkpoint(path, pol, critic, PpoHyper(), {})
+        write_critic_checkpoint(path, pol, critic, critic_era_hyper(), {})
 
         def no_init(*args, **kwargs):
             raise AssertionError("load_checkpoint ran init_mlp")
