@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .alloc import realize
-from .config import SystemConfig
-from .env import DEFAULT_PENALTY
-from .harness import SCHEMES, bench_runtime, default_grid, grid_oracle, \
-    held_out_scenarios, latency_growth_exponent, load_config, load_policy, \
-    parse_grid, policy_action, sweep_pbt, train_scheme, validate_se
+from .harness import SCHEMES, bench_runtime, checkpoint_system, \
+    default_grid, grid_oracle, held_out_scenarios, latency_growth_exponent, \
+    load_config, load_policy, parse_grid, policy_action, sweep_pbt, \
+    train_scheme, validate_se
 from .netgen import generate_scenario, load_scenario, save_scenario
 from .perf import REPORT_CSV_HEADER, evaluate, report_csv_row
+
+
+def _write_csv(out: Path, header: str, row_format: str, rows) -> None:
+    with open(out, "w") as f:
+        f.write(header + "\n")
+        f.writelines(row_format % tuple(row) + "\n" for row in rows)
 
 
 def cmd_gen(args) -> int:
@@ -29,36 +33,20 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     conf = load_config(args.config)
+    if args.steps is not None and args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     seed = args.seed if args.seed is not None else conf["master_seed"]
     ckpt = train_scheme(conf["system"], args.scheme, conf["ppo"],
                         master_seed=seed, out_dir=args.out,
                         episode_length=conf["episode_length"],
-                        feature_mode=conf["feature_mode"],
                         total_steps=args.steps)
     print(f"trained {args.scheme}; checkpoint at {ckpt}")
     return 0
 
 
-def _eval_config(config_path, meta: dict) -> SystemConfig:
-    """The system to evaluate a checkpoint in: every SystemConfig field the
-    checkpoint records (older checkpoints record only M, K and N), the
-    others from `config_path` (defaults without one). A config that sets a
-    recorded field to another value raises ValueError naming it."""
-    conf = load_config(config_path)
-    cfg = conf["system"]
-    recorded = meta.get("system") or {
-        f: meta[f] for f in ("M", "K", "N") if f in meta}
-    for f in conf["system_keys"]:
-        if f in recorded and getattr(cfg, f) != recorded[f]:
-            raise ValueError(f"{config_path} sets {f}={getattr(cfg, f)!r}, "
-                             f"but the checkpoint was trained with "
-                             f"{f}={recorded[f]!r}")
-    return dataclasses.replace(cfg, **recorded)
-
-
 def cmd_eval(args) -> int:
     loaded = load_policy(args.checkpoint)
-    cfg = _eval_config(args.config, loaded.meta)
+    cfg = checkpoint_system(args.config, {args.checkpoint: loaded.meta})
     scen_dirs = sorted(p for p in Path(args.scenarios).iterdir()
                        if (p / "beta.csv").exists())
     if not scen_dirs:
@@ -85,16 +73,13 @@ def cmd_oracle(args) -> int:
     cfg = conf["system"]
     grid = parse_grid(args.grid) if args.grid else default_grid()
     scenarios = held_out_scenarios(cfg, args.scenarios, args.seed)
-    results = grid_oracle(scenarios, grid, cfg, penalty=args.penalty)
-    order = np.argsort([sc.seed for sc in scenarios])
+    results = grid_oracle(scenarios, grid, cfg, penalty=conf["ppo"].penalty)
     out = Path(args.out or "oracle_results.csv")
-    with open(out, "w") as f:
-        f.write("seed,zeta,kappa,nu,reward,ee_mbits_per_joule\n")
-        for i in order:
-            sc, r = scenarios[i], results[i]
-            f.write("%d,%.12g,%.12g,%.12g,%.12g,%.12g\n" % (
-                sc.seed, r.action.zeta, r.action.kappa, r.action.nu,
-                r.reward, r.ee_mbits_per_joule))
+    _write_csv(out, "seed,zeta,kappa,nu,reward,ee_mbits_per_joule",
+               "%d,%.12g,%.12g,%.12g,%.12g,%.12g",
+               ((sc.seed, r.action.zeta, r.action.kappa, r.action.nu,
+                 r.reward, r.ee_mbits_per_joule) for sc, r in
+                sorted(zip(scenarios, results), key=lambda p: p[0].seed)))
     mean_ee = np.mean([r.ee_mbits_per_joule for r in results])
     print(f"oracle over {len(results)} scenarios: "
           f"mean EE = {mean_ee:.3f} Mbit/J; results in {out}")
@@ -102,45 +87,32 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep_pbt(args) -> int:
-    conf = load_config(args.config)
     values = [float(v) for v in args.values.split(",")]
     ckpt_dir = Path(args.checkpoints)
-    checkpoints = {}
-    for scheme in SCHEMES:
-        p = ckpt_dir / f"{scheme}.ckpt"
-        if p.exists():
-            checkpoints[scheme] = p
+    checkpoints = {s: ckpt_dir / f"{s}.ckpt" for s in SCHEMES
+                   if (ckpt_dir / f"{s}.ckpt").exists()}
     if not checkpoints:
         print(f"no checkpoints found in {ckpt_dir}", file=sys.stderr)
         return 1
-    rows = sweep_pbt(checkpoints, values, conf["system"],
+    rows = sweep_pbt(checkpoints, values, args.config,
                      n_scenarios=args.scenarios, seed=args.seed)
     out = Path(args.out or "sweep_pbt.csv")
-    with open(out, "w") as f:
-        f.write("p_bt,scheme,mean_ee_mbits_per_joule,stderr_ee,"
-                "n_scenarios\n")
-        for r in rows:
-            f.write("%g,%s,%.12g,%.12g,%d\n" % (
-                r["p_bt"], r["scheme"], r["mean_ee_mbits_per_joule"],
-                r["stderr_ee"], r["n_scenarios"]))
+    _write_csv(out, ",".join(rows[0]), "%g,%s,%.12g,%.12g,%d",
+               (r.values() for r in rows))
     print(f"sweep over P_bt = {values}; results in {out}")
     return 0
 
 
 def cmd_bench(args) -> int:
-    conf = load_config(args.config)
     m_values = [int(v) for v in args.m_values.split(",")]
-    ckpt = None if args.zero_shot else args.checkpoint
-    rows = bench_runtime(m_values, conf["system"], checkpoint=ckpt,
+    metas = {} if args.checkpoint is None else {
+        args.checkpoint: load_policy(args.checkpoint).meta}
+    cfg = checkpoint_system(args.config, metas)
+    rows = bench_runtime(m_values, cfg, checkpoint=args.checkpoint,
                          n_calls=args.calls)
     out = Path(args.out or "bench_runtime.csv")
-    with open(out, "w") as f:
-        f.write("M,policy_median_ms,policy_p95_ms,oracle_median_ms,"
-                "speedup\n")
-        for r in rows:
-            f.write("%d,%.6g,%.6g,%.6g,%.6g\n" % (
-                r["M"], r["policy_median_ms"], r["policy_p95_ms"],
-                r["oracle_median_ms"], r["speedup"]))
+    _write_csv(out, ",".join(rows[0]), "%d,%.6g,%.6g,%.6g,%.6g",
+               (r.values() for r in rows))
     exponent = latency_growth_exponent(rows)
     print(f"latency growth exponent in M: {exponent:.3f}; results in {out}")
     return 0
@@ -200,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help='e.g. "z=0.05:1:20,k=0:4:17,n=0:4:17"')
     o.add_argument("--scenarios", type=int, default=100)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--penalty", type=float, default=DEFAULT_PENALTY)
     o.add_argument("--out", default=None)
     o.set_defaults(func=cmd_oracle)
 
@@ -217,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="per-decision latency benchmark")
     b.add_argument("--m-values", default="20,40,60,80,100")
     b.add_argument("--config", default=None)
-    b.add_argument("--checkpoint", default=None)
-    b.add_argument("--zero-shot", action="store_true",
-                   help="time a freshly initialized policy")
+    b.add_argument("--checkpoint", default=None,
+                   help="time this policy; without one, a freshly "
+                        "initialized policy (zero-shot)")
     b.add_argument("--calls", type=int, default=1000)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)

@@ -100,14 +100,10 @@ class CellFreeEnv:
     def __init__(self, cfg: SystemConfig,
                  episode_length: int = DEFAULT_EPISODE_LENGTH,
                  penalty: float = DEFAULT_PENALTY,
-                 feature_mode: str = "db_standardized",
                  normalizer: Optional[FeatureNormalizer] = None):
-        if feature_mode not in ("db_standardized", "raw"):
-            raise ValueError(f"unknown feature_mode '{feature_mode}'")
         self.cfg = cfg
         self.episode_length = episode_length
         self.penalty = penalty
-        self.feature_mode = feature_mode
         self.normalizer = normalizer or FeatureNormalizer(cfg.M * cfg.K)
         self._rng: Optional[np.random.Generator] = None
         self.scenario: Optional[Scenario] = None
@@ -118,7 +114,7 @@ class CellFreeEnv:
         return self.cfg.M * self.cfg.K
 
     def _observe(self) -> np.ndarray:
-        return beta_features(self.scenario, self.feature_mode,
+        return beta_features(self.scenario, "db_standardized",
                              self.normalizer, update=True)
 
     def reset(self, seed: int) -> np.ndarray:

@@ -74,14 +74,13 @@ def build_policy(scheme: str, obs_dim: int,
 def train_scheme(cfg: SystemConfig, scheme: str, hyper: PpoHyper,
                  master_seed: int, out_dir,
                  episode_length: int = DEFAULT_EPISODE_LENGTH,
-                 feature_mode: str = "db_standardized",
                  total_steps: Optional[int] = None) -> Path:
     """Train one scheme; writes checkpoint + training log, returns the
     checkpoint path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     env = CellFreeEnv(cfg, episode_length=episode_length,
-                      penalty=hyper.penalty, feature_mode=feature_mode)
+                      penalty=hyper.penalty)
     rng = np.random.default_rng(master_seed)
     policy = build_policy(scheme, env.feature_dim, rng)
     trainer = PpoTrainer(env, policy, hyper, master_seed=master_seed,
@@ -97,7 +96,7 @@ def train_scheme(cfg: SystemConfig, scheme: str, hyper: PpoHyper,
         "system": {k: v for k, v in asdict(cfg).items()
                    if not k.endswith("_override")},
         "normalizer": env.normalizer.state_dict(),
-        "feature_mode": feature_mode,
+        "feature_mode": "db_standardized",
         "episode_length": episode_length,
         "master_seed": master_seed,
     }
@@ -115,15 +114,46 @@ class LoadedPolicy:
 
 
 def load_policy(ckpt_path) -> LoadedPolicy:
+    """A checkpoint's policy with the feature map it was trained on. A
+    feature_mode other than beta_features' two raises ValueError."""
     policy, _critic, _hyper, meta = load_checkpoint(ckpt_path)
+    mode = meta.get("feature_mode", "db_standardized")
+    if mode not in ("db_standardized", "raw"):
+        raise ValueError(f"{ckpt_path}: unknown feature_mode {mode!r}")
     norm = None
     if meta.get("normalizer") is not None:
         norm = FeatureNormalizer.from_state_dict(meta["normalizer"])
     return LoadedPolicy(policy=policy, scheme=meta["scheme"],
-                        normalizer=norm,
-                        feature_mode=meta.get("feature_mode",
-                                              "db_standardized"),
-                        meta=meta)
+                        normalizer=norm, feature_mode=mode, meta=meta)
+
+
+def checkpoint_system(config_path, metas: Dict[str, dict],
+                      free: Sequence[str] = ()) -> SystemConfig:
+    """The system to evaluate checkpoints (meta by name) in: every
+    SystemConfig field they record (older checkpoints record only M, K and
+    N), the others from the config at `config_path`, as are the fields in
+    `free`, which the caller sets. Checkpoints that record different
+    values, or a config that sets a recorded field to another value, raise
+    ValueError naming the field."""
+    conf = load_config(config_path)
+    cfg = conf["system"]
+    recorded, source = {}, {}
+    for name, meta in metas.items():
+        rec = meta.get("system") or {
+            f: meta[f] for f in ("M", "K", "N") if f in meta}
+        for f, v in rec.items():
+            if f in free:
+                continue
+            if f in recorded and recorded[f] != v:
+                raise ValueError(f"{source[f]} records {f}={recorded[f]!r},"
+                                 f" but {name} records {f}={v!r}")
+            recorded[f], source[f] = v, name
+    for f in conf["system_keys"]:
+        if f in recorded and getattr(cfg, f) != recorded[f]:
+            raise ValueError(f"{config_path} sets {f}={getattr(cfg, f)!r}, "
+                             f"but {source[f]} was trained with "
+                             f"{f}={recorded[f]!r}")
+    return replace(cfg, **recorded)
 
 
 def policy_features(sc: Scenario, loaded: LoadedPolicy) -> np.ndarray:
@@ -138,12 +168,9 @@ def policy_action(sc: Scenario, loaded: LoadedPolicy) -> Action:
 
 def evaluate_policy(loaded: LoadedPolicy, scenarios: Sequence[Scenario],
                     cfg: SystemConfig) -> List[Tuple[Action, PerfReport]]:
-    out = []
-    for sc in scenarios:
-        action = policy_action(sc, loaded)
-        dec = realize(action, sc, cfg)
-        out.append((action, evaluate(sc, dec, cfg)))
-    return out
+    actions = [policy_action(sc, loaded) for sc in scenarios]
+    return [(a, evaluate(sc, realize(a, sc, cfg), cfg))
+            for a, sc in zip(actions, scenarios)]
 
 
 def held_out_scenarios(cfg: SystemConfig, n: int,
@@ -228,10 +255,15 @@ def grid_oracle(scenarios: Sequence[Scenario], grid: Dict[str, np.ndarray],
 # --- figure-analogue experiments ----------------------------------------
 
 def sweep_pbt(checkpoints: Dict[str, Path], pbt_values: Sequence[float],
-              cfg: SystemConfig, n_scenarios: int = 100,
+              config_path=None, n_scenarios: int = 100,
               seed: int = 0) -> List[dict]:
-    """Mean held-out EE per scheme as the backhaul traffic power varies."""
+    """Mean held-out EE per scheme as the backhaul traffic power varies, in
+    the system the checkpoints record (`checkpoint_system`)."""
     loaded = {name: load_policy(p) for name, p in checkpoints.items()}
+    cfg = checkpoint_system(
+        config_path, {str(checkpoints[name]): lp.meta
+                      for name, lp in loaded.items()},
+        free=("p_bt_watts_per_gbps",))
     rows = []
     for pbt in pbt_values:
         cfg_p = replace(cfg, p_bt_watts_per_gbps=float(pbt))
@@ -253,15 +285,17 @@ def bench_runtime(m_values: Sequence[int], cfg: SystemConfig,
                   oracle_grid: Optional[Dict[str, np.ndarray]] = None,
                   seed: int = 0) -> List[dict]:
     """Per-decision latency of policy inference + realization vs the grid
-    oracle, across network sizes. Without a checkpoint, a freshly
+    oracle, across network sizes. A checkpoint is timed in `cfg` with M
+    set per size (see `checkpoint_system`); without one, a freshly
     initialized policy of the right dimensions is timed (zero-shot)."""
     rows = []
     oracle_grid = oracle_grid or default_grid(10, 10, 10)
+    trained = None if checkpoint is None else load_policy(checkpoint)
     for M in m_values:
         cfg_m = replace(cfg, M=int(M))
         sc = generate_scenario(cfg_m, seed + M)
-        if checkpoint is not None:
-            lp = load_policy(checkpoint)
+        if trained is not None:
+            lp = trained
             if lp.policy.actor.sizes[0] != cfg_m.M * cfg_m.K:
                 raise ValueError("checkpoint dimensions do not match M*K")
         else:
@@ -300,8 +334,7 @@ def latency_growth_exponent(rows: List[dict]) -> float:
     """Log-log slope of median policy latency versus M."""
     m = np.log([r["M"] for r in rows])
     t = np.log([r["policy_median_ms"] for r in rows])
-    slope = np.polyfit(m, t, 1)[0]
-    return float(slope)
+    return float(np.polyfit(m, t, 1)[0])
 
 
 # --- closed-form vs Monte Carlo validation -------------------------------
@@ -372,18 +405,15 @@ def validate_se(n_cases: int = 20, n_realizations: int = 100_000,
                 seed: int = 0, max_rel: float = 0.03) -> List[SeValidationCase]:
     """Cross-validate the closed form against the MC oracle on random
     small instances (includes shared-pilot cases)."""
-    cases = []
-    for i in range(n_cases):
-        cases.append(random_small_case(
-            seed + i, max_rel=max_rel, n_realizations=n_realizations,
-            force_shared_pilot=(i % 5 == 4)))
-    return cases
+    return [random_small_case(seed + i, max_rel=max_rel,
+                              n_realizations=n_realizations,
+                              force_shared_pilot=(i % 5 == 4))
+            for i in range(n_cases)]
 
 
 # --- configuration files ------------------------------------------------
 
-_ENV_TYPES = {"episode_length": int, "penalty_coefficient": float,
-              "feature_mode": str, "idle_backhaul_power": float}
+ENV_TYPES = {"episode_length": int}
 
 
 def _checked(block, types: dict, where: str) -> dict:
@@ -411,32 +441,27 @@ def load_config(path=None) -> dict:
     """Load the YAML experiment configuration (defaults without a path);
     see configs/default.yaml for the schema. Returns a dict with the
     'system' and 'ppo' objects, the names of the SystemConfig fields the
-    file sets ('system_keys'), and the env options. An unknown key or an
-    invalid value raises ValueError naming it."""
-    raw = None
-    if path is not None:
-        with open(path) as f:
-            raw = yaml.safe_load(f)
+    file sets ('system_keys'), 'episode_length' and 'master_seed'. An
+    unknown key or an invalid value raises ValueError naming it."""
+    raw = None if path is None else yaml.safe_load(Path(path).read_text())
     raw = _checked(raw, {"system": dict, "env": dict, "ppo": dict,
                          "master_seed": int}, "the config")
     sys_block = _checked(raw.get("system"), get_type_hints(SystemConfig),
                          "config block 'system'")
-    env_block = _checked(raw.get("env"), _ENV_TYPES, "config block 'env'")
+    env_block = _checked(raw.get("env"), ENV_TYPES, "config block 'env'")
     ppo_block = _checked(raw.get("ppo"), get_type_hints(PpoHyper),
                          "config block 'ppo'")
-    if "idle_backhaul_power" in env_block:
-        sys_block = {**sys_block,
-                     "idle_backhaul_power": env_block["idle_backhaul_power"]}
     cfg = SystemConfig(**sys_block)
     hyper = PpoHyper(**ppo_block)
     hyper.validate()
-    hyper.penalty = env_block.get("penalty_coefficient", hyper.penalty)
+    episode_length = env_block.get("episode_length", DEFAULT_EPISODE_LENGTH)
+    if episode_length < 1:
+        raise ValueError(f"config block 'env': episode_length must be >= 1, "
+                         f"got {episode_length!r}")
     return {
         "system": cfg,
         "system_keys": sorted(sys_block),
-        "episode_length": env_block.get("episode_length",
-                                        DEFAULT_EPISODE_LENGTH),
-        "feature_mode": env_block.get("feature_mode", "db_standardized"),
+        "episode_length": episode_length,
         "ppo": hyper,
         "master_seed": raw.get("master_seed", 0),
     }

@@ -11,6 +11,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from .env import DEFAULT_PENALTY
 from .nets import Adam, MlpParams, forward, forward_cache, backward, zero_mlp
 
 log = logging.getLogger(__name__)
@@ -27,11 +28,12 @@ GROUP_SIZE = 8
 CHECKPOINT_MAGIC = b"CFEECKPT"
 CHECKPOINT_VERSION = 1
 # Options since removed, at the values that describe the current trainer
-# (no KL early stop, Adam, and no critic, whose discount was 0). Checkpoint
-# headers keep recording them, so the format and older readers are intact.
+# (no KL early stop, Adam, no critic, whose discount was 0, and a learning
+# rate annealed linearly to 0). Checkpoint headers keep recording them, so
+# the format and older readers are intact.
 RETIRED_HYPER = {"critic_extra_epochs": 0, "discount": 0.0,
-                 "gae_lambda": 0.95, "lr_critic": 1e-3, "optimizer": "adam",
-                 "target_kl": 0.0}
+                 "gae_lambda": 0.95, "lr_critic": 1e-3, "lr_decay": True,
+                 "optimizer": "adam", "target_kl": 0.0}
 
 
 @dataclass
@@ -44,18 +46,24 @@ class PpoHyper:
     epochs_per_update: int = 10
     max_grad_norm: float = 0.5
     entropy_coef: float = 0.01  # keeps exploration from collapsing early
-    # exploration floor on logstd (scalar or per-dimension sequence),
-    # held for the first half of training then annealed to
-    # LOGSTD_CLAMP[0]; broad early search, precise late placement
-    logstd_floor_init: object = -1.2
-    lr_decay: bool = True       # anneal the learning rate linearly to 0
-    penalty: float = 20.0       # mirrored from the environment
+    # exploration floor on logstd, held for the first half of training then
+    # annealed to LOGSTD_CLAMP[0]; broad early search, precise late placement
+    logstd_floor_init: float = -1.2
+    # weight of the QoS shortfall in the reward (env.batch_rewards), for
+    # training and for the grid oracle alike
+    penalty: float = DEFAULT_PENALTY
 
     def validate(self):
-        if self.clip <= 0 or self.lr_actor <= 0:
-            raise ValueError("clip and lr_actor must be > 0")
-        if self.max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be > 0")
+        """Raises ValueError naming the first field out of range."""
+        for name, low, strict in (
+                ("clip", 0, True), ("lr_actor", 0, True),
+                ("max_grad_norm", 0, True), ("minibatch", 1, False),
+                ("epochs_per_update", 1, False), ("total_steps", 1, False),
+                ("entropy_coef", 0, False), ("penalty", 0, False)):
+            value = getattr(self, name)
+            if value < low or (strict and value == low):
+                raise ValueError(f"{name} must be {'>' if strict else '>='} "
+                                 f"{low}, got {value!r}")
         if self.rollout_horizon <= 0 or self.rollout_horizon % GROUP_SIZE:
             raise ValueError(f"rollout_horizon must be a positive multiple "
                              f"of GROUP_SIZE={GROUP_SIZE}, got "
@@ -308,12 +316,11 @@ class PpoTrainer:
                 # the reward stay visible while the mean learns to
                 # condition), then anneal it away for precise placement
                 anneal = max(0.0, 2.0 * progress - 1.0)
-                init = np.asarray(hyper.logstd_floor_init, dtype=float)
+                init = hyper.logstd_floor_init
                 floor = init + anneal * (LOGSTD_CLAMP[0] - init)
-                scale = 1.0 - progress if hyper.lr_decay else 1.0
                 policy_loss = ppo_update(buf, self.policy, self.opt, hyper,
                                          self.rng, logstd_floor=floor,
-                                         lr_scale=max(scale, 1e-3))
+                                         lr_scale=max(1.0 - progress, 1e-3))
                 groups = buf.rewards.reshape(-1, GROUP_SIZE)
                 row = {
                     "step": step,

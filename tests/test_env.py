@@ -144,8 +144,3 @@ class TestEnv:
         inside.reset(2)
         _, expected, _ = inside.step([(1.0, 0.0, 4.0), (0.5, 1.0, 1.0)])
         assert np.array_equal(rewards, expected)
-
-    def test_raw_feature_mode(self, cfg):
-        env = CellFreeEnv(cfg, feature_mode="raw")
-        feats = env.reset(3)
-        assert np.allclose(feats, env.scenario.beta.ravel())

@@ -1,19 +1,22 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
+import yaml
 
 import cfee.cli
 import cfee.harness
 from cfee.cli import main
 from cfee.config import SystemConfig
-from cfee.harness import (bench_runtime, default_grid,
+from cfee.harness import (ENV_TYPES, bench_runtime, default_grid,
                           evaluate_policy, grid_oracle, grid_oracle_one,
                           held_out_scenarios, latency_growth_exponent,
-                          load_config, load_policy, parse_grid, policy_action,
-                          scheme_action, scheme_bounds, scheme_coeffs,
-                          sweep_pbt, train_scheme, validate_se)
+                          load_config, load_policy, parse_grid,
+                          policy_action, policy_features, scheme_action,
+                          scheme_bounds, scheme_coeffs, sweep_pbt,
+                          train_scheme, validate_se)
 from cfee.alloc import Action, realize
 from cfee.env import CellFreeEnv, batch_rewards
 from cfee.netgen import Scenario, generate_scenario, save_scenario
@@ -35,6 +38,21 @@ def small_hyper(**kw):
     base = dict(rollout_horizon=64, epochs_per_update=2, minibatch=32)
     base.update(kw)
     return PpoHyper(**base)
+
+
+def rewrite_meta(ckpt, **changes):
+    """Rewrite a checkpoint's meta in place; a None value deletes the key."""
+    blob = ckpt.read_bytes()
+    hlen, = struct.unpack("<Q", blob[12:20])
+    header = json.loads(blob[20:20 + hlen])
+    for key, value in changes.items():
+        if value is None:
+            del header["meta"][key]
+        else:
+            header["meta"][key] = value
+    new = json.dumps(header, sort_keys=True).encode()
+    ckpt.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new
+                     + blob[20 + hlen:])
 
 
 class TestSchemes:
@@ -211,6 +229,23 @@ class TestTrainEval:
         sc = generate_scenario(cfg, 9)
         assert policy_action(sc, lp) == policy_action(sc, lp)
 
+    def test_recorded_feature_mode_honoured(self, cfg, tmp_path):
+        # a checkpoint that records "raw" is fed linear beta; an unknown
+        # mode is refused, naming it
+        ckpt = train_scheme(cfg, "proposed", small_hyper(), master_seed=7,
+                            out_dir=tmp_path, episode_length=16,
+                            total_steps=64)
+        assert load_policy(ckpt).feature_mode == "db_standardized"
+        rewrite_meta(ckpt, feature_mode="raw")
+        lp = load_policy(ckpt)
+        sc = generate_scenario(cfg, 3)
+        assert np.array_equal(policy_features(sc, lp), sc.beta.ravel())
+        assert policy_action(sc, lp) == scheme_action(
+            lp.policy.deterministic_action(sc.beta.ravel()), "proposed")
+        rewrite_meta(ckpt, feature_mode="db")
+        with pytest.raises(ValueError, match="feature_mode 'db'"):
+            load_policy(ckpt)
+
     def test_held_out_disjoint_from_training_seeds(self, cfg):
         scen = held_out_scenarios(cfg, 5, seed=0)
         assert all(sc.seed >= 2 ** 62 for sc in scen)
@@ -238,7 +273,7 @@ class TestSweepPbt:
         ckpt = train_scheme(cfg, "drl_ao", small_hyper(), master_seed=3,
                             out_dir=tmp_path, episode_length=16,
                             total_steps=64)
-        rows = sweep_pbt({"drl_ao": ckpt}, [0.0, 0.25, 1.0], cfg,
+        rows = sweep_pbt({"drl_ao": ckpt}, [0.0, 0.25, 1.0],
                          n_scenarios=5, seed=0)
         assert len(rows) == 3
         ees = [r["mean_ee_mbits_per_joule"] for r in rows]
@@ -275,8 +310,8 @@ class TestLoadConfig:
         p = tmp_path / "c.yaml"
         p.write_text(
             "system: {M: 6, K: 3, N: 4, tau_p: 3}\n"
-            "env: {episode_length: 32, penalty_coefficient: 10.0}\n"
-            "ppo: {rollout_horizon: 128, lr_actor: 0.001}\n"
+            "env: {episode_length: 32}\n"
+            "ppo: {rollout_horizon: 128, lr_actor: 0.001, penalty: 10.0}\n"
             "master_seed: 5\n")
         conf = load_config(p)
         assert conf["system"].M == 6
@@ -288,6 +323,19 @@ class TestLoadConfig:
     def test_default_config_file_parses(self):
         conf = load_config("configs/default.yaml")
         assert conf["system"].M == 40
+
+    def test_default_config_file_is_the_schema(self):
+        # configs/default.yaml lists every ppo and env setting, at the
+        # values a run without a config uses
+        with open("configs/default.yaml") as f:
+            raw = yaml.safe_load(f)
+        assert set(raw["ppo"]) == {
+            f.name for f in dataclasses.fields(PpoHyper)}
+        assert set(raw["env"]) == set(ENV_TYPES)
+        from_file, defaults = load_config("configs/default.yaml"), \
+            load_config(None)
+        for key in ("system", "ppo", "episode_length", "master_seed"):
+            assert from_file[key] == defaults[key]
 
     def test_bad_field_rejected(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -302,6 +350,10 @@ class TestLoadConfig:
         ("ppo: {clip: 0.2, target_kl: 0.01}\n", "target_kl"),
         ("ppo: {critic_extra_epochs: 2}\n", "critic_extra_epochs"),
         ("ppo: {optimizer: adam}\n", "optimizer"),
+        ("ppo: {lr_decay: true}\n", "lr_decay"),
+        ("env: {feature_mode: raw}\n", "feature_mode"),
+        ("env: {penalty_coefficient: 1.0}\n", "penalty_coefficient"),
+        ("env: {idle_backhaul_power: 0.5}\n", "idle_backhaul_power"),
     ])
     def test_unknown_key_named(self, tmp_path, text, key):
         p = tmp_path / "unknown.yaml"
@@ -318,9 +370,9 @@ class TestLoadConfig:
         ("system: {se_min: [1.0]}\n", "se_min"),
         ("system: {bandwidth_hz: 1e7}\n", "bandwidth_hz"),  # YAML: a str
         ("ppo: {minibatch: 64.5}\n", "minibatch"),
-        ("ppo: {lr_decay: 1}\n", "lr_decay"),
         ("ppo: {clip: false}\n", "clip"),
-        ("env: {feature_mode: 3}\n", "feature_mode"),
+        ("ppo: {logstd_floor_init: [-1, -2, -3]}\n", "logstd_floor_init"),
+        ("ppo: {logstd_floor_init: abc}\n", "logstd_floor_init"),
         ("env: {episode_length: '32'}\n", "episode_length"),
         ("master_seed: 1.5\n", "master_seed"),
     ])
@@ -332,19 +384,46 @@ class TestLoadConfig:
         assert main(["gen", "--config", str(p), "--seed", "0",
                      "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("text, key", [
+        ("ppo: {minibatch: 0}\n", "minibatch"),
+        ("ppo: {epochs_per_update: 0}\n", "epochs_per_update"),
+        ("ppo: {total_steps: 0}\n", "total_steps"),
+        ("ppo: {entropy_coef: -0.01}\n", "entropy_coef"),
+        ("ppo: {penalty: -1.0}\n", "penalty"),
+        ("env: {episode_length: 0}\n", "episode_length"),
+    ])
+    def test_value_range_named(self, tmp_path, text, key, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"{key} must be >"):
+            load_config(p)
+        capsys.readouterr()
+        assert main(["train", "--config", str(p), "--out",
+                     str(tmp_path / "run"), "--steps", "64"]) == 2
+        assert f"{key} must be >" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_train_steps_named(self, tmp_path, steps, capsys):
+        assert main(["train", "--out", str(tmp_path / "run"),
+                     "--steps", steps]) == 2
+        assert "--steps must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_int_accepted_for_float(self, tmp_path):
         p = tmp_path / "ints.yaml"
         p.write_text("system: {area_side: 1000, se_min: 2}\n"
-                     "ppo: {clip: 1, logstd_floor_init: [-1, -2, -3]}\n")
+                     "ppo: {clip: 1, logstd_floor_init: -1}\n")
         conf = load_config(p)
         assert conf["system"].area_side == 1000
         assert conf["ppo"].clip == 1
+        assert conf["ppo"].logstd_floor_init == -1
 
     def test_idle_backhaul_power_validated(self, tmp_path):
         p = tmp_path / "idle.yaml"
-        p.write_text("env: {idle_backhaul_power: 0.5}\n")
+        p.write_text("system: {idle_backhaul_power: 0.5}\n")
         assert load_config(p)["system"].idle_backhaul_power == 0.5
-        p.write_text("env: {idle_backhaul_power: -1.0}\n")
+        p.write_text("system: {idle_backhaul_power: -1.0}\n")
         with pytest.raises(ValueError, match="backhaul"):
             load_config(p)
 
@@ -458,7 +537,7 @@ class TestCli:
                 default_tau_p).ee_mbits_per_joule)
 
         for text, field in (("system: {tau_p: 20}\n", "tau_p=20"),
-                            ("env: {idle_backhaul_power: 0.5}\n",
+                            ("system: {idle_backhaul_power: 0.5}\n",
                              "idle_backhaul_power=0.5")):
             conf.write_text(text)
             capsys.readouterr()
@@ -469,13 +548,7 @@ class TestCli:
 
         # a checkpoint that records only M, K and N runs at the config's
         # other fields (the defaults without a config), as before
-        blob = ckpt.read_bytes()
-        hlen, = struct.unpack("<Q", blob[12:20])
-        header = json.loads(blob[20:20 + hlen])
-        del header["meta"]["system"]
-        new = json.dumps(header, sort_keys=True).encode()
-        ckpt.write_bytes(blob[:12] + struct.pack("<Q", len(new)) + new
-                         + blob[20 + hlen:])
+        rewrite_meta(ckpt, system=None)
         out = tmp_path / "mkn.csv"
         assert main(["eval", "--checkpoint", str(ckpt), "--scenarios",
                      str(scen_dir), "--out", str(out)]) == 0
@@ -507,6 +580,92 @@ class TestCli:
             assert rc == 0
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_oracle_reads_config_penalty(self, tmp_path):
+        # the penalty cfee train uses (ppo.penalty) also scores the oracle
+        grid = "z=0.05:1:4,k=0:4:3,n=0:4:3"
+        conf = tmp_path / "c.yaml"
+        outs = []
+        for penalty in (1.0, 20.0):
+            conf.write_text("system: {M: 4, K: 2, N: 3, tau_p: 2}\n"
+                            f"ppo: {{penalty: {penalty}}}\n")
+            out = tmp_path / f"oracle{penalty}.csv"
+            assert main(["oracle", "--config", str(conf), "--scenarios",
+                         "3", "--grid", grid, "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] != outs[1]
+        cfg = SystemConfig(M=4, K=2, N=3, tau_p=2)
+        scenarios = held_out_scenarios(cfg, 3, 0)
+        results = grid_oracle(scenarios, parse_grid(grid), cfg, penalty=1.0)
+        rows = ["%d,%.12g,%.12g,%.12g,%.12g,%.12g" % (
+            sc.seed, r.action.zeta, r.action.kappa, r.action.nu, r.reward,
+            r.ee_mbits_per_joule) for sc, r in zip(scenarios, results)]
+        assert outs[0].splitlines()[1:] == rows
+
+    def test_sweep_pbt_takes_system_from_checkpoints(self, cfg, tmp_path,
+                                                     capsys):
+        # a tau_p=3 checkpoint is swept at tau_p=3, with or without a
+        # config that leaves tau_p unset; P_bt is the sweep's to set
+        run = tmp_path / "run"
+        ckpt = train_scheme(cfg, "drl_ao", small_hyper(), master_seed=8,
+                            out_dir=run, episode_length=16, total_steps=64)
+        conf = tmp_path / "c.yaml"
+
+        def sweep(text=None):
+            argv = ["sweep-pbt", "--checkpoints", str(run), "--values",
+                    "0.25", "--scenarios", "5", "--out",
+                    str(tmp_path / "sweep.csv")]
+            if text is not None:
+                conf.write_text(text)
+                argv += ["--config", str(conf)]
+            capsys.readouterr()
+            rc = main(argv)
+            return rc, (tmp_path / "sweep.csv").read_text() if rc == 0 \
+                else capsys.readouterr().err
+
+        outs = [sweep(), sweep("system: {M: 5, K: 3, N: 4}\n"),
+                sweep("system: {p_bt_watts_per_gbps: 1.0}\n")]
+        assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+        ee = float(outs[0][1].splitlines()[1].split(",")[2])
+        lp = load_policy(ckpt)
+        for tau_p, same in ((3, True), (20, False)):
+            sys_p = dataclasses.replace(cfg, tau_p=tau_p,
+                                        p_bt_watts_per_gbps=0.25)
+            ees = [r.ee_mbits_per_joule for _, r in evaluate_policy(
+                lp, held_out_scenarios(sys_p, 5, 0), sys_p)]
+            assert (ee == float("%.12g" % np.mean(ees))) == same
+
+        rc, err = sweep("system: {tau_p: 20}\n")
+        assert rc == 2 and "tau_p=20" in err
+        train_scheme(dataclasses.replace(cfg, tau_p=2), "drl_ap",
+                     small_hyper(), master_seed=9, out_dir=run,
+                     episode_length=16, total_steps=64)
+        rc, err = sweep()
+        assert rc == 2 and "tau_p=3" in err and "tau_p=2" in err
+
+    @pytest.mark.filterwarnings("ignore:Polyfit")  # one M: one point
+    def test_bench_takes_system_from_checkpoint(self, cfg, tmp_path,
+                                                capsys, monkeypatch):
+        # the checkpoint's system is timed (M=5 is also its --m-values)
+        ckpt = train_scheme(cfg, "drl_ao", small_hyper(), master_seed=10,
+                            out_dir=tmp_path, episode_length=16,
+                            total_steps=64)
+        timed = []
+        monkeypatch.setattr(cfee.cli, "bench_runtime",
+                            lambda m, c, **kw: timed.append(c) or
+                            bench_runtime(m, c, **kw))
+        conf = tmp_path / "c.yaml"
+        argv = ["bench", "--checkpoint", str(ckpt), "--m-values", "5",
+                "--calls", "5", "--out", str(tmp_path / "bench.csv")]
+        conf.write_text("system: {M: 5, K: 3, N: 4}\n")
+        assert main(argv) == 0 and main(argv + ["--config", str(conf)]) == 0
+        assert timed == [cfg, cfg]
+        for text, field in (("system: {tau_p: 20}\n", "tau_p=20"),
+                            ("system: {M: 60}\n", "M=60")):
+            conf.write_text(text)
+            capsys.readouterr()
+            assert main(argv + ["--config", str(conf)]) == 2
+            assert field in capsys.readouterr().err
 
     def test_gen_csv_deterministic(self, tmp_path):
         blobs = []

@@ -308,7 +308,7 @@ def critic_era_hyper(**fields):
     """PpoHyper fields as a critic-era header recorded them."""
     return {**asdict(PpoHyper(clip=0.3)), "discount": 0.0,
             "gae_lambda": 0.95, "lr_critic": 1e-3, "critic_extra_epochs": 0,
-            "optimizer": "adam", "target_kl": 0.0, **fields}
+            "optimizer": "adam", "target_kl": 0.0, "lr_decay": True, **fields}
 
 
 class TestCheckpoint:
@@ -349,18 +349,20 @@ class TestCheckpoint:
 
     def test_legacy_hyper_fields_dropped(self, tmp_path, caplog):
         # headers written with KL early stopping, critic-only epochs, the
-        # optimizer choice or a discounted critic carry those fields
+        # optimizer choice, a discounted critic or a constant learning rate
+        # carry those fields
         pol = make_policy(obs_dim=5, act_dim=3, seed=23)
         critic = init_mlp((5, 16, 16, 1), np.random.default_rng(24))
         path = tmp_path / "old.ckpt"
         write_critic_checkpoint(
             path, pol, critic,
             critic_era_hyper(target_kl=0.02, critic_extra_epochs=3,
-                             optimizer="sgd", discount=0.99), {"k": 1})
+                             optimizer="sgd", discount=0.99, lr_decay=False),
+            {"k": 1})
         with caplog.at_level(logging.WARNING, logger="cfee.ppo"):
             pol2, critic2, hyper2, meta2 = load_checkpoint(path)
         for name in ("target_kl=0.02", "critic_extra_epochs=3",
-                     "optimizer='sgd'", "discount=0.99"):
+                     "optimizer='sgd'", "discount=0.99", "lr_decay=False"):
             assert name in caplog.text
         assert "gae_lambda" not in caplog.text
         assert hyper2 == PpoHyper(clip=0.3)
