@@ -80,13 +80,17 @@ def _check_gamma_rows(gamma: np.ndarray, rows: np.ndarray):
         raise ValueError(f"degenerate gamma row at AP {bad[0]}")
 
 
-def _power_rows(gamma: np.ndarray, nu: float) -> Tuple[np.ndarray,
-                                                        np.ndarray]:
-    """The power rule on every row g of `gamma`: numerators r^(nu-1) and
-    denominators max(g) sum_k r^nu, with r = g / max(g) (row-normalized
+def _ratios(gamma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row maxima of `gamma` and the rows divided by them (row-normalized
     powers keep exponentiation in a safe range)."""
     gmax = gamma.max(axis=1)
-    r = gamma / gmax[:, None]
+    return gmax, gamma / gmax[:, None]
+
+
+def _power_rows(gmax: np.ndarray, r: np.ndarray,
+                nu: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The power rule on the rows `_ratios` normalized: numerators
+    r^(nu-1) and denominators max(g) sum_k r^nu."""
     return r ** (nu - 1.0), gmax * (r ** nu).sum(axis=1)
 
 
@@ -101,7 +105,7 @@ def allocate_power(gamma: np.ndarray, n_active: np.ndarray,
     active = np.asarray(active, dtype=int)
     _check_gamma_rows(gamma, active)
     eta = np.zeros_like(gamma)
-    num, den = _power_rows(gamma[active], nu)
+    num, den = _power_rows(*_ratios(gamma[active]), nu)
     eta[active] = num / (den * n_active[active])[:, None]
     return eta
 
@@ -109,13 +113,14 @@ def allocate_power(gamma: np.ndarray, n_active: np.ndarray,
 def realize_batch(actions: np.ndarray, sc: Scenario, cfg: SystemConfig
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Turn B coefficient triples (rows of `actions`, (B, 3)) into
-    allocations for one scenario: the active mask (B, M), antenna counts
-    (B, M) and powers (B, M, K). Row b equals `realize` on action b bit
-    for bit."""
+    allocations for one scenario, on the R APs that some action turns on:
+    those APs in index order (R,), antenna counts (B, M) and powers
+    (B, R, K), exactly 0 where action b has the AP off. Action b equals
+    `realize` bit for bit, its powers scattered to those rows."""
     actions = np.asarray(actions, dtype=float).reshape(-1, 3)
     zeta, kappa, nu = actions.T
     scores = ap_scores(sc.beta)
-    B, (M, K) = len(actions), sc.gamma.shape
+    M = sc.M
     n_on = _n_on(zeta, M)
     if np.any(kappa < 0):
         raise ValueError("kappa must be >= 0")
@@ -133,19 +138,19 @@ def realize_batch(actions: np.ndarray, sc: Scenario, cfg: SystemConfig
     n_active = np.where(active, _antennas(log_s - log_s.max(),
                                           kappa[:, None], cfg.N), 0)
 
-    # power rows once per distinct nu, on the APs some action turns on
+    # the power rule once per distinct nu, with a scalar exponent (an
+    # array of exponents can round differently), gathered per action
     rows = np.flatnonzero(active.any(axis=0))
     _check_gamma_rows(sc.gamma, rows)
-    gamma = sc.gamma[rows]
-    eta = np.zeros((B, M, K))
+    gmax, r = _ratios(sc.gamma[rows])
     nus, which = np.unique(nu, return_inverse=True)
-    for j, v in enumerate(nus):
-        num, den = _power_rows(gamma, float(v))
-        b = np.flatnonzero(which == j)
-        bb, i = np.nonzero(active[np.ix_(b, rows)])
-        b, m = b[bb], rows[i]
-        eta[b, m] = num[i] / (den[i] * n_active[b, m])[:, None]
-    return active, n_active, eta
+    num, den = map(np.stack, zip(*(_power_rows(gmax, r, float(v))
+                                   for v in nus)))
+    n = n_active[:, rows]
+    eta = np.zeros((len(actions), len(rows), sc.K))
+    np.divide(num[which], (den[which] * n)[..., None], out=eta,
+              where=(n > 0)[..., None])
+    return rows, n_active, eta
 
 
 def realize(action: Action, sc: Scenario, cfg: SystemConfig) -> AllocationDecision:

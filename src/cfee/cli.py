@@ -104,17 +104,24 @@ def cmd_sweep_pbt(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    m_values = [int(v) for v in args.m_values.split(",")]
     metas = {} if args.checkpoint is None else {
         args.checkpoint: load_policy(args.checkpoint).meta}
     cfg = checkpoint_system(args.config, metas)
+    if args.m_values is not None:
+        m_values = [int(v) for v in args.m_values.split(",")]
+    else:
+        m_values = [cfg.M] if metas else [20, 40, 60, 80, 100]
     rows = bench_runtime(m_values, cfg, checkpoint=args.checkpoint,
                          n_calls=args.calls)
     out = Path(args.out or "bench_runtime.csv")
     _write_csv(out, ",".join(rows[0]), "%d,%.6g,%.6g,%.6g,%.6g",
                (r.values() for r in rows))
-    exponent = latency_growth_exponent(rows)
-    print(f"latency growth exponent in M: {exponent:.3f}; results in {out}")
+    try:
+        summary = ("latency growth exponent in M: "
+                   f"{latency_growth_exponent(rows):.3f}")
+    except ValueError as exc:
+        summary = str(exc)
+    print(f"{summary}; results in {out}")
     return 0
 
 
@@ -186,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sweep_pbt)
 
     b = sub.add_parser("bench", help="per-decision latency benchmark")
-    b.add_argument("--m-values", default="20,40,60,80,100")
+    b.add_argument("--m-values", default=None,
+                   help="comma-separated network sizes; default: the "
+                        "checkpoint's M, or 20,40,60,80,100 without one")
     b.add_argument("--config", default=None)
     b.add_argument("--checkpoint", default=None,
                    help="time this policy; without one, a freshly "

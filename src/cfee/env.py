@@ -136,8 +136,8 @@ class CellFreeEnv:
                         actions.tolist())
             actions = np.clip(actions, _ACTION_LO, _ACTION_HI)
         sc = self.scenario
-        _, n_active, eta = realize_batch(actions, sc, self.cfg)
-        _, _, ee, shortfall = evaluate_batch(sc, n_active, eta, self.cfg)
+        _, _, ee, shortfall = evaluate_batch(
+            sc, *realize_batch(actions, sc, self.cfg), self.cfg)
         rewards = batch_rewards(ee, shortfall, self.penalty)
 
         done = self.slot_index >= self.episode_length

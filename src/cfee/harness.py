@@ -233,7 +233,7 @@ def grid_oracle_one(sc: Scenario, grid: Dict[str, np.ndarray],
         # one expression, so that the batch's powers are freed before the
         # next batch is realized
         _, _, ee, shortfall = evaluate_batch(
-            sc, *realize_batch(actions, sc, cfg)[1:], cfg)
+            sc, *realize_batch(actions, sc, cfg), cfg)
         rewards = batch_rewards(ee, shortfall, penalty)
         i = int(np.argmax(rewards))
         if best_reward is None or rewards[i] > best_reward:
@@ -285,19 +285,25 @@ def bench_runtime(m_values: Sequence[int], cfg: SystemConfig,
                   oracle_grid: Optional[Dict[str, np.ndarray]] = None,
                   seed: int = 0) -> List[dict]:
     """Per-decision latency of policy inference + realization vs the grid
-    oracle, across network sizes. A checkpoint is timed in `cfg` with M
-    set per size (see `checkpoint_system`); without one, a freshly
+    oracle, in `cfg` with M set per size. A checkpoint can be timed only
+    at the M it was trained at (its system is `checkpoint_system`'s);
+    another M raises ValueError naming both. Without one, a freshly
     initialized policy of the right dimensions is timed (zero-shot)."""
     rows = []
     oracle_grid = oracle_grid or default_grid(10, 10, 10)
     trained = None if checkpoint is None else load_policy(checkpoint)
+    if trained is not None:
+        n_in = trained.policy.actor.sizes[0]
+        for M in m_values:
+            if M * cfg.K != n_in:
+                raise ValueError(
+                    f"{checkpoint} was trained at M={n_in / cfg.K:g} "
+                    f"(K={cfg.K}); it cannot be timed at M={M}")
     for M in m_values:
         cfg_m = replace(cfg, M=int(M))
         sc = generate_scenario(cfg_m, seed + M)
         if trained is not None:
             lp = trained
-            if lp.policy.actor.sizes[0] != cfg_m.M * cfg_m.K:
-                raise ValueError("checkpoint dimensions do not match M*K")
         else:
             rng = np.random.default_rng(seed)
             lp = LoadedPolicy(
@@ -331,7 +337,11 @@ def bench_runtime(m_values: Sequence[int], cfg: SystemConfig,
 
 
 def latency_growth_exponent(rows: List[dict]) -> float:
-    """Log-log slope of median policy latency versus M."""
+    """Log-log slope of median policy latency versus M; fewer than two
+    distinct M raise ValueError."""
+    if len({r["M"] for r in rows}) < 2:
+        raise ValueError("the latency growth exponent needs at least two "
+                         "distinct M values")
     m = np.log([r["M"] for r in rows])
     t = np.log([r["policy_median_ms"] for r in rows])
     return float(np.polyfit(m, t, 1)[0])

@@ -60,20 +60,23 @@ def prelog(cfg: SystemConfig) -> float:
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c
 
 
-def _se_and_load(sc: Scenario, n_active: np.ndarray, eta: np.ndarray,
-                 cfg: SystemConfig) -> Tuple[np.ndarray, np.ndarray]:
+def _se_and_load(sc: Scenario, rows: np.ndarray, n_active: np.ndarray,
+                 eta: np.ndarray, cfg: SystemConfig
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-user spectral efficiency (..., K) from the closed-form SINR, and
     the per-AP load sum_k eta_mk gamma_mk (..., M), of allocations of one
-    scenario: antenna counts (..., M) and powers (..., M, K), with one
-    leading batch axis or none.
+    scenario: antenna counts (..., M) and powers (..., R, K) on the APs
+    `rows` (R,), in index order, with one leading batch axis or none. APs
+    outside `rows` carry no power. Sums over APs add row by row, so a row
+    of zero power in `rows` changes no bit.
 
     The coherent-interference term carries the pilot cross-correlation
     factor; with orthogonal pilots it vanishes for all pairs.
     """
-    gamma, beta = sc.gamma, sc.beta
+    gamma, beta = sc.gamma[rows], sc.beta[rows]
     if not (eta.min() >= 0 and eta.max() < np.inf):   # false for a NaN
         raise ValueError("eta must be finite and nonnegative")
-    n = n_active.astype(float)[..., None]            # (..., M, 1)
+    n = n_active[..., rows].astype(float)[..., None]  # (..., R, 1)
     rd = rho_d(cfg)
 
     # desired signal: rho_d * (sum_m sqrt(eta_mk) N_m gamma_mk)^2
@@ -96,11 +99,15 @@ def _se_and_load(sc: Scenario, n_active: np.ndarray, eta: np.ndarray,
 
     # non-coherent interference + beamforming uncertainty
     np.multiply(eta, gamma, out=t)
-    load = t.sum(axis=-1)                            # (..., M)
-    np.multiply(beta, n * load[..., None], out=t)
+    load_rows = t.sum(axis=-1)                       # (..., R)
+    np.multiply(beta, n * load_rows[..., None], out=t)
     t_nc = rd * t.sum(axis=-2)
 
     sinr = num / (t_coh + t_nc + 1.0)
+    # `_power` sums the load over all M APs: a pairwise sum, whose bits
+    # depend on the zeros it holds
+    load = np.zeros(n_active.shape)
+    load[..., rows] = load_rows
     return prelog(cfg) * np.log2(1.0 + sinr), load
 
 
@@ -108,7 +115,8 @@ def closed_form_se(sc: Scenario, dec: AllocationDecision,
                    cfg: SystemConfig) -> np.ndarray:
     """Per-user spectral efficiency of one decision from the closed-form
     SINR (see `_se_and_load`)."""
-    return _se_and_load(sc, dec.n_active, dec.eta, cfg)[0]
+    return _se_and_load(sc, dec.active, dec.n_active, dec.eta[dec.active],
+                        cfg)[0]
 
 
 def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
@@ -210,15 +218,16 @@ def energy_efficiency(se_sum, p_total, cfg: SystemConfig):
     return cfg.bandwidth_hz * se_sum / p_total
 
 
-def evaluate_batch(sc: Scenario, n_active: np.ndarray, eta: np.ndarray,
-                   cfg: SystemConfig):
-    """Closed-form evaluation of B allocations of one scenario, antenna
-    counts (B, M) and powers (B, M, K) as `alloc.realize_batch` returns
-    them: per-user SE (B, K), and the power draw in watts, the EE in bit/J
-    and the QoS shortfall sum_k max(0, se_min - se_k), each (B,). Row b
-    equals `evaluate` of decision b bit for bit; without the batch axis,
-    every output loses its first axis."""
-    se, load = _se_and_load(sc, n_active, eta, cfg)
+def evaluate_batch(sc: Scenario, rows: np.ndarray, n_active: np.ndarray,
+                   eta: np.ndarray, cfg: SystemConfig):
+    """Closed-form evaluation of B allocations of one scenario as
+    `alloc.realize_batch` returns them: the APs some allocation turns on
+    (R,), antenna counts (B, M) and powers on those APs (B, R, K). Returns
+    per-user SE (B, K), and the power draw in watts, the EE in bit/J and
+    the QoS shortfall sum_k max(0, se_min - se_k), each (B,). Row b equals
+    `evaluate` of decision b bit for bit; without the batch axis, every
+    output loses its first axis."""
+    se, load = _se_and_load(sc, rows, n_active, eta, cfg)
     se_sum = se.sum(axis=-1)
     p_total = _power(n_active, load, se_sum, cfg)
     return (se, p_total, energy_efficiency(se_sum, p_total, cfg),
@@ -228,7 +237,8 @@ def evaluate_batch(sc: Scenario, n_active: np.ndarray, eta: np.ndarray,
 def evaluate(sc: Scenario, dec: AllocationDecision,
              cfg: SystemConfig) -> PerfReport:
     """Full closed-form evaluation of one decision."""
-    se, p_total, ee, _ = evaluate_batch(sc, dec.n_active, dec.eta, cfg)
+    se, p_total, ee, _ = evaluate_batch(sc, dec.active, dec.n_active,
+                                        dec.eta[dec.active], cfg)
     return PerfReport(
         se_per_user=se,
         se_sum=float(se.sum()),

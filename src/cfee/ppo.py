@@ -150,8 +150,9 @@ def clip_grad_norm(grad: np.ndarray, max_norm: float,
     parameter array (`starts` are their offsets) in order: a single sum,
     or np.add.reduceat's sequential ones, can differ in the last bit."""
     sq = grad * grad
-    total = float(np.sqrt(sum(float(part.sum())
-                              for part in np.split(sq, starts[1:]))))
+    ends = [*starts[1:], len(sq)]
+    total = float(np.sqrt(sum(float(sq[a:b].sum())
+                              for a, b in zip(starts, ends))))
     if total > max_norm:
         grad *= max_norm / total
     return total

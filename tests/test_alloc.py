@@ -210,20 +210,36 @@ def random_actions(rng, B):
                             rng.uniform(0.0, 4.0, B)])
 
 
+def scattered(rows, eta_rows, M):
+    """Powers on `rows` (B, R, K) as full (B, M, K) matrices."""
+    eta = np.zeros((eta_rows.shape[0], M, eta_rows.shape[2]))
+    eta[:, rows] = eta_rows
+    return eta
+
+
 def assert_rows_match_reference(actions, sc, cfg):
-    active, n_active, eta = realize_batch(actions, sc, cfg)
-    assert active.shape == n_active.shape == (len(actions), sc.M)
-    assert eta.shape == (len(actions), sc.M, sc.K)
+    rows, n_active, eta_rows = realize_batch(actions, sc, cfg)
+    assert n_active.shape == (len(actions), sc.M)
+    assert eta_rows.shape == (len(actions), len(rows), sc.K)
+    eta = scattered(rows, eta_rows, sc.M)
+    switched_on = np.zeros(sc.M, dtype=bool)
     for b, (zeta, kappa, nu) in enumerate(actions):
         ref_active, ref_n, ref_eta = reference_realize(
             float(zeta), float(kappa), float(nu), sc, cfg.N)
-        assert np.array_equal(np.flatnonzero(active[b]), ref_active)
+        switched_on[ref_active] = True
+        assert np.array_equal(np.flatnonzero(n_active[b]), ref_active)
         assert np.array_equal(n_active[b], ref_n)
         assert same_bits(eta[b], ref_eta), (b, zeta, kappa, nu)
         dec = realize(Action(float(zeta), float(kappa), float(nu)), sc, cfg)
         assert np.array_equal(dec.active, ref_active)
         assert np.array_equal(dec.n_active, ref_n)
         assert same_bits(dec.eta, ref_eta)
+    # the rows are the APs some action switches on, in AP order, and an
+    # action's powers are exactly 0 on the rows it has off
+    assert np.array_equal(rows, np.flatnonzero(switched_on))
+    off = n_active[:, rows] == 0
+    assert same_bits(eta_rows[off], np.zeros((off.sum(), sc.K)))
+    assert np.all(eta_rows[~off] > 0)
 
 
 class TestRealizeBatch:
@@ -258,8 +274,10 @@ class TestRealizeBatch:
         actions = np.array([(z, k, n) for z in (1 / 6, 2 / 6, 0.5, 4 / 6, 1.0)
                             for k in (0.0, 3.0) for n in (0.5, 1.0)])
         assert_rows_match_reference(actions, sc, cfg)
-        active, _, _ = realize_batch(np.array([[2 / 6, 1.0, 1.0]]), sc, cfg)
-        assert np.array_equal(np.flatnonzero(active[0]), [1, 3])
+        rows, n_active, _ = realize_batch(np.array([[2 / 6, 1.0, 1.0]]), sc,
+                                          cfg)
+        assert np.array_equal(rows, [1, 3])
+        assert np.array_equal(np.flatnonzero(n_active[0]), [1, 3])
 
     def test_allocate_power_bit_equal_loop(self):
         rng = np.random.default_rng(12)
@@ -277,8 +295,9 @@ class TestRealizeBatch:
 
     def test_single_action_shape(self):
         sc = generate_scenario(DESK, 1)
-        active, n_active, eta = realize_batch([0.5, 1.0, 2.0], sc, DESK)
-        assert active.shape == (1, 10) and eta.shape == (1, 10, 5)
+        rows, n_active, eta = realize_batch([0.5, 1.0, 2.0], sc, DESK)
+        assert n_active.shape == (1, 10) and eta.shape == (1, 5, 5)
+        assert scattered(rows, eta, DESK.M).shape == (1, 10, 5)
 
 
 class TestRealizeErrors:

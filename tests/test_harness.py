@@ -177,6 +177,17 @@ class TestGridOracle:
             assert res.reward == reward
             assert res.report.ee_mbits_per_joule == res.ee_mbits_per_joule
 
+    def test_matches_one_action_at_a_time_full_scale(self):
+        # the paper's scale, where each zeta's batch holds only the APs it
+        # switches on
+        full = SystemConfig(M=40, K=20, N=20, tau_p=20)
+        grid = default_grid(6, 5, 5)
+        for sc in held_out_scenarios(full, 2, seed=4):
+            res = grid_oracle_one(sc, grid, full)
+            action, reward = self.brute_force(sc, grid, full)
+            assert res.action == action
+            assert struct.pack("<d", res.reward) == struct.pack("<d", reward)
+
     def test_ties_break_to_the_lexicographic_first(self, cfg):
         # zeta 0.05 and 0.1 both switch on only the top AP (n_on = 1 at
         # M = 5), and with one AP every kappa gives it all N antennas: each
@@ -289,6 +300,12 @@ class TestBench:
             assert r["policy_median_ms"] > 0
             assert r["speedup"] > 1
         assert np.isfinite(latency_growth_exponent(rows))
+
+    def test_growth_exponent_needs_two_sizes(self):
+        row = {"M": 40, "policy_median_ms": 0.1}
+        for rows in ([row], [row, dict(row, policy_median_ms=0.2)]):
+            with pytest.raises(ValueError, match="two distinct M"):
+                latency_growth_exponent(rows)
 
 
 class TestValidateSe:
@@ -643,7 +660,6 @@ class TestCli:
         rc, err = sweep()
         assert rc == 2 and "tau_p=3" in err and "tau_p=2" in err
 
-    @pytest.mark.filterwarnings("ignore:Polyfit")  # one M: one point
     def test_bench_takes_system_from_checkpoint(self, cfg, tmp_path,
                                                 capsys, monkeypatch):
         # the checkpoint's system is timed (M=5 is also its --m-values)
@@ -666,6 +682,32 @@ class TestCli:
             capsys.readouterr()
             assert main(argv + ["--config", str(conf)]) == 2
             assert field in capsys.readouterr().err
+
+    def test_bench_m_values(self, cfg, tmp_path, capsys, monkeypatch):
+        # a checkpoint is timed at its own M by default, and only there;
+        # one size writes its row but no growth exponent
+        ckpt = train_scheme(cfg, "drl_ao", small_hyper(), master_seed=11,
+                            out_dir=tmp_path, episode_length=16,
+                            total_steps=64)
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--calls", "5", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv + ["--checkpoint", str(ckpt)]) == 0
+        assert [line.split(",")[0] for line in
+                out.read_text().splitlines()[1:]] == ["5"]
+        assert "two distinct M" in capsys.readouterr().out
+        assert main(argv + ["--checkpoint", str(ckpt),
+                            "--m-values", "5,10"]) == 2
+        err = capsys.readouterr().err
+        assert "trained at M=5" in err and "at M=10" in err
+        assert main(argv + ["--m-values", "6"]) == 0
+        assert "two distinct M" in capsys.readouterr().out
+        timed = []
+        monkeypatch.setattr(cfee.cli, "bench_runtime",
+                            lambda m, c, **kw: timed.append(m) or
+                            bench_runtime([5, 6], c, **kw))
+        assert main(argv) == 0
+        assert timed == [[20, 40, 60, 80, 100]]
 
     def test_gen_csv_deterministic(self, tmp_path):
         blobs = []

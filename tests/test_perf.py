@@ -305,9 +305,13 @@ class TestEvaluateBatch:
         SystemConfig(M=10, K=5, N=8, tau_p=5),
         SystemConfig(M=40, K=20, N=20, tau_p=20),
         SystemConfig(M=10, K=6, N=8, tau_p=2),
+        SystemConfig(M=40, K=20, N=20, tau_p=7),
         SystemConfig(M=4, K=3, N=2, tau_p=1, idle_backhaul_power=0.3)],
-        ids=["desk", "full", "shared_pilots", "one_pilot_idle_power"])
+        ids=["desk", "full", "shared_pilots", "full_shared_pilots",
+             "one_pilot_idle_power"])
     def test_rows_bit_equal_reference(self, cfg):
+        # one random zeta per action: some rows are off for some actions,
+        # and with shared pilots the coherent term's matmul runs over them
         rng = np.random.default_rng(cfg.M + cfg.tau_p)
         for seed in range(2):
             sc = generate_scenario(cfg, seed)
@@ -315,10 +319,13 @@ class TestEvaluateBatch:
             actions = np.column_stack([
                 rng.uniform(0.01, 1, B), rng.uniform(0, 4, B),
                 rng.choice([0.0, 1.0, 2.0, rng.uniform(0, 4)], B)])
-            _, n_active, eta = realize_batch(actions, sc, cfg)
-            se_b, p_b, ee_b, shortfall_b = evaluate_batch(sc, n_active, eta,
-                                                          cfg)
+            rows, n_active, eta_rows = realize_batch(actions, sc, cfg)
+            assert np.any(n_active[:, rows] == 0)
+            se_b, p_b, ee_b, shortfall_b = evaluate_batch(
+                sc, rows, n_active, eta_rows, cfg)
             rewards = batch_rewards(ee_b, shortfall_b, 20.0)
+            eta = np.zeros((B, cfg.M, cfg.K))
+            eta[:, rows] = eta_rows
             for b in range(B):
                 se = reference_se(sc, n_active[b], eta[b], cfg)
                 se_sum = float(se.sum())
@@ -344,10 +351,10 @@ class TestEvaluateBatch:
     def test_rejects_bad_eta_in_any_row(self):
         cfg = SystemConfig(M=3, K=2, N=4, tau_p=2)
         sc = generate_scenario(cfg, 31)
-        _, n_active, eta = realize_batch(
+        rows, n_active, eta = realize_batch(
             np.array([[1.0, 0.0, 1.0]] * 3), sc, cfg)
         for bad in (np.nan, np.inf, -1e-9):
             broken = eta.copy()
             broken[1, 0, 1] = bad
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                evaluate_batch(sc, n_active, broken, cfg)
+                evaluate_batch(sc, rows, n_active, broken, cfg)
