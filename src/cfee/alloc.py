@@ -147,9 +147,10 @@ def realize_batch(actions: np.ndarray, sc: Scenario, cfg: SystemConfig
     num, den = map(np.stack, zip(*(_power_rows(gmax, r, float(v))
                                    for v in nus)))
     n = n_active[:, rows]
-    eta = np.zeros((len(actions), len(rows), sc.K))
-    np.divide(num[which], (den[which] * n)[..., None], out=eta,
+    eta = num[which]
+    np.divide(eta, (den[which] * n)[..., None], out=eta,
               where=(n > 0)[..., None])
+    eta[n == 0] = 0.0
     return rows, n_active, eta
 
 

@@ -60,6 +60,11 @@ def prelog(cfg: SystemConfig) -> float:
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c
 
 
+def _check_eta(eta: np.ndarray):
+    if not (eta.min() >= 0 and eta.max() < np.inf):   # false for a NaN
+        raise ValueError("eta must be finite and nonnegative")
+
+
 def _se_and_load(sc: Scenario, rows: np.ndarray, n_active: np.ndarray,
                  eta: np.ndarray, cfg: SystemConfig
                  ) -> Tuple[np.ndarray, np.ndarray]:
@@ -74,8 +79,7 @@ def _se_and_load(sc: Scenario, rows: np.ndarray, n_active: np.ndarray,
     factor; with orthogonal pilots it vanishes for all pairs.
     """
     gamma, beta = sc.gamma[rows], sc.beta[rows]
-    if not (eta.min() >= 0 and eta.max() < np.inf):   # false for a NaN
-        raise ValueError("eta must be finite and nonnegative")
+    _check_eta(eta)
     n = n_active[..., rows].astype(float)[..., None]  # (..., R, 1)
     rd = rho_d(cfg)
 
@@ -130,9 +134,16 @@ def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
     desired-signal, beamforming-uncertainty, and inter-user interference
     powers by sample averages. `antenna_mask` (M, N) overrides the default
     "first N_m antennas active" convention.
+
+    Each chunk of R realizations draws, in this order, the real and the
+    imaginary part of the channel (R, M, N, K) and of the pilot noise
+    (R, M, N, G), G pilot groups; the estimates depend on the seed and on
+    `chunk`. The rest runs in real arithmetic on the active antennas only,
+    in buffers allocated once per call.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
+    _check_eta(dec.eta)
     M, K, N = sc.M, sc.K, cfg.N
     group = pilot_groups(sc.pilot_xcorr)
     n_groups = group.max() + 1
@@ -148,39 +159,66 @@ def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
     rd, rp = rho_d(cfg), rho_p(cfg)
     tp = cfg.tau_p * rp
     c = np.sqrt(tp) * sc.beta / (tp * (sc.beta @ sc.pilot_xcorr) + 1.0)
-    sqrt_eta = np.sqrt(dec.eta)                             # (M, K)
-    sqrt_beta = np.sqrt(sc.beta)
+    # the A active antennas, m * N + n, and their APs
+    on = np.flatnonzero(mask)
+    ap = on // N
+    n_on = len(on)
+    # The 1/sqrt(2) of each complex Gaussian goes into the scales: the
+    # channel is g = sqrt(beta / 2) (x + iy); z = sqrt(2 tau_p rho_p) *
+    # sum_{k in group} g_k + (x' + iy') is sqrt(2) times a group's
+    # projected pilot observation; d_k z_{group(k)}, d = c sqrt(eta / 2),
+    # is the MMSE estimate ghat_k times sqrt(eta_k).
+    scale_g = np.sqrt(sc.beta[ap] / 2.0)                    # (A, K)
+    group_sum = member * np.sqrt(2.0 * tp)                  # (K, G)
+    d = c[ap] * np.sqrt(dec.eta[ap] / 2.0)                  # (A, K)
 
+    C = min(chunk, n_realizations)
+    draw = np.empty(C * M * N * K)
+    picked = np.empty(C * n_on * K)         # the drawn values at `on`
+    g = np.empty((C, 2, n_on, K))           # [Re g; Im g]
+    z = np.empty((C, 2, n_on, n_groups))    # [Re z; Im z]
+    # f = [Re; Im] and [-Im; Re] of ghat sqrt(eta): [Re g; Im g]^T f
+    # are Re and Im of b_kj = sum_mn g_k conj(ghat_j) sqrt(eta_j)
+    f = np.empty((2, C, 2, n_on, K))
+    b = np.empty((2, C, K, K))              # Re b, Im b
+    sum_b = np.zeros((2, K, K))
+    sum_b2 = np.zeros((2, K, K))
     rng = np.random.default_rng(seed)
-    sum_a = np.zeros(K, dtype=complex)
-    sum_a2 = np.zeros(K)
-    sum_b2 = np.zeros((K, K))
     done = 0
     while done < n_realizations:
         R = min(chunk, n_realizations - done)
         done += R
-        h = (rng.standard_normal((R, M, N, K))
-             + 1j * rng.standard_normal((R, M, N, K))) / np.sqrt(2.0)
-        gA = sqrt_beta[None, :, None, :] * h * mask[None, :, :, None]
-        w = (rng.standard_normal((R, M, N, n_groups))
-             + 1j * rng.standard_normal((R, M, N, n_groups))) / np.sqrt(2.0)
-        w *= mask[None, :, :, None]
-        # projected pilot observation, one per pilot group
-        ysum = np.einsum("rmnk,kp->rmnp", gA, member)
-        ytilde = (np.sqrt(tp) * ysum + w)[:, :, :, group]   # (R, M, N, K)
-        ghat = c[None, :, None, :] * ytilde
-        u = np.einsum("rmnk,rmnj->rmkj", gA, ghat.conj())
-        b = np.einsum("rmkj,mj->rkj", u, sqrt_eta)          # (R, K, K)
-        a = np.einsum("rkk->rk", b)
-        sum_a += a.sum(axis=0)
-        sum_a2 += (np.abs(a) ** 2).sum(axis=0)
-        sum_b2 += (np.abs(b) ** 2).sum(axis=0)
+        gR, zR, fR, bR = g[:R], z[:R], f[:, :R], b[:, :R]
+        # mode="clip" lets take write straight into `out`; `on` is in range
+        h = draw[:R * M * N * K].reshape(R, M * N, K)
+        h_on = picked[:R * n_on * K].reshape(R, n_on, K)
+        for part in range(2):
+            rng.standard_normal(out=h)
+            np.take(h, on, axis=1, out=h_on, mode="clip")
+            np.multiply(h_on, scale_g, out=gR[:, part])
+        np.matmul(gR.reshape(-1, K), group_sum, out=zR.reshape(-1, n_groups))
+        w = draw[:R * M * N * n_groups].reshape(R, M * N, n_groups)
+        w_on = picked[:R * n_on * n_groups].reshape(R, n_on, n_groups)
+        for part in range(2):
+            rng.standard_normal(out=w)
+            np.take(w, on, axis=1, out=w_on, mode="clip")
+            zR[:, part] += w_on
+        np.matmul(zR.reshape(-1, n_groups), member.T, out=fR[0].reshape(-1, K))
+        fR[0] *= d
+        np.negative(fR[0, :, 1], out=fR[1, :, 0])
+        fR[1, :, 1] = fR[0, :, 0]
+        np.matmul(gR.reshape(R, 2 * n_on, K).transpose(0, 2, 1),
+                  fR.reshape(2, R, 2 * n_on, K), out=bR)
+        sum_b += bR.sum(axis=1)
+        np.square(bR, out=bR)
+        sum_b2 += bR.sum(axis=1)
 
     n = float(n_realizations)
-    ea = sum_a / n
+    ea = (np.diagonal(sum_b[0]) + 1j * np.diagonal(sum_b[1])) / n
+    b2 = (sum_b2[0] + sum_b2[1]) / n                        # E|b_kj|^2
     ds = rd * np.abs(ea) ** 2
-    bu = rd * np.maximum(sum_a2 / n - np.abs(ea) ** 2, 0.0)
-    ui = rd * sum_b2 / n
+    bu = rd * np.maximum(np.diagonal(b2) - np.abs(ea) ** 2, 0.0)
+    ui = rd * b2
     np.fill_diagonal(ui, 0.0)
     sinr = ds / (bu + ui.sum(axis=1) + 1.0)
     return prelog(cfg) * np.log2(1.0 + sinr)

@@ -2,24 +2,25 @@ import numpy as np
 import pytest
 
 from cfee.alloc import Action, realize, realize_batch
-from cfee.config import SystemConfig, noise_power, rho_d
+from cfee.config import SystemConfig, noise_power, rho_d, rho_p
 from cfee.env import batch_rewards
-from cfee.netgen import Scenario, generate_scenario
+from cfee.netgen import Scenario, generate_scenario, pilot_groups
 from cfee.perf import (AllocationDecision, check_feasibility, closed_form_se,
                        energy_efficiency, evaluate, evaluate_batch,
                        mc_se_oracle, prelog, total_power)
 
 
 def full_power_decision(sc, cfg, n_active=None):
-    """All APs active, uniform eta meeting the power budget with equality."""
+    """Every AP with antennas active (all APs by default), uniform eta
+    meeting the power budget with equality."""
     M, K = sc.beta.shape
     if n_active is None:
         n_active = np.full(M, cfg.N)
+    active = np.flatnonzero(n_active)
     eta = np.zeros((M, K))
-    for m in range(M):
+    for m in active:
         eta[m] = 1.0 / (n_active[m] * sc.gamma[m].sum())
-    return AllocationDecision(active=np.arange(M), n_active=n_active,
-                              eta=eta)
+    return AllocationDecision(active=active, n_active=n_active, eta=eta)
 
 
 class TestNoisePower:
@@ -63,12 +64,16 @@ class TestClosedFormSe:
                                                                 rel=1e-12)
 
     def test_rejects_bad_eta(self):
+        # the closed form and the MC oracle share one check
         cfg = SystemConfig(M=2, K=2, N=2, tau_p=2)
         sc = generate_scenario(cfg, 2)
-        dec = full_power_decision(sc, cfg)
-        dec.eta[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            closed_form_se(sc, dec, cfg)
+        for bad in (np.nan, np.inf, -1e-9):
+            dec = full_power_decision(sc, cfg)
+            dec.eta[0, 0] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                closed_form_se(sc, dec, cfg)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                mc_se_oracle(sc, dec, cfg, 100, seed=0)
 
     def test_monotone_in_own_power(self):
         cfg = SystemConfig(M=3, K=2, N=4, tau_p=2)
@@ -152,6 +157,83 @@ class TestMcOracle:
         big = [mc_se_oracle(sc, dec, cfg, 10_000, seed=s)[0]
                for s in range(12)]
         assert np.std(big) < np.std(small)
+
+
+# --- the Monte Carlo kernel against its complex-arithmetic reference ------
+
+def reference_mc(sc, dec, cfg, n_realizations, seed, antenna_mask=None,
+                 chunk=4096):
+    """Monte Carlo SE in complex arithmetic on every antenna, with the
+    kernel's draws (the same calls, sizes and order per chunk), kept as
+    the reference."""
+    M, K, N = sc.M, sc.K, cfg.N
+    group = pilot_groups(sc.pilot_xcorr)
+    n_groups = group.max() + 1
+    member = np.zeros((K, n_groups))
+    member[np.arange(K), group] = 1.0
+    if antenna_mask is None:
+        antenna_mask = (np.arange(N)[None, :] < dec.n_active[:, None])
+    mask = antenna_mask.astype(float)
+    rd, rp = rho_d(cfg), rho_p(cfg)
+    tp = cfg.tau_p * rp
+    c = np.sqrt(tp) * sc.beta / (tp * (sc.beta @ sc.pilot_xcorr) + 1.0)
+    sqrt_eta = np.sqrt(dec.eta)
+    sqrt_beta = np.sqrt(sc.beta)
+
+    rng = np.random.default_rng(seed)
+    sum_a = np.zeros(K, dtype=complex)
+    sum_a2 = np.zeros(K)
+    sum_b2 = np.zeros((K, K))
+    done = 0
+    while done < n_realizations:
+        R = min(chunk, n_realizations - done)
+        done += R
+        h = (rng.standard_normal((R, M, N, K))
+             + 1j * rng.standard_normal((R, M, N, K))) / np.sqrt(2.0)
+        gA = sqrt_beta[None, :, None, :] * h * mask[None, :, :, None]
+        w = (rng.standard_normal((R, M, N, n_groups))
+             + 1j * rng.standard_normal((R, M, N, n_groups))) / np.sqrt(2.0)
+        w *= mask[None, :, :, None]
+        ysum = np.einsum("rmnk,kp->rmnp", gA, member)
+        ytilde = (np.sqrt(tp) * ysum + w)[:, :, :, group]
+        ghat = c[None, :, None, :] * ytilde
+        u = np.einsum("rmnk,rmnj->rmkj", gA, ghat.conj())
+        b = np.einsum("rmkj,mj->rkj", u, sqrt_eta)
+        a = np.einsum("rkk->rk", b)
+        sum_a += a.sum(axis=0)
+        sum_a2 += (np.abs(a) ** 2).sum(axis=0)
+        sum_b2 += (np.abs(b) ** 2).sum(axis=0)
+
+    n = float(n_realizations)
+    ea = sum_a / n
+    ds = rd * np.abs(ea) ** 2
+    bu = rd * np.maximum(sum_a2 / n - np.abs(ea) ** 2, 0.0)
+    ui = rd * sum_b2 / n
+    np.fill_diagonal(ui, 0.0)
+    sinr = ds / (bu + ui.sum(axis=1) + 1.0)
+    return prelog(cfg) * np.log2(1.0 + sinr)
+
+
+class TestMcKernel:
+    PERMUTED = np.array([[0, 1, 0, 1], [1, 0, 1, 1], [0, 0, 1, 0]])
+
+    # (system, antenna counts, antenna mask, realizations); every case
+    # draws with the default chunk, on both sides
+    @pytest.mark.parametrize("cfg, n_active, mask, n_real", [
+        (SystemConfig(M=3, K=3, N=4, tau_p=3), [4, 2, 3], None, 3000),
+        (SystemConfig(M=3, K=3, N=3, tau_p=1), [3, 1, 2], None, 3000),
+        (SystemConfig(M=3, K=3, N=4, tau_p=2), [2, 3, 1], PERMUTED, 3000),
+        (SystemConfig(M=3, K=2, N=3, tau_p=1), [2, 0, 3], None, 3000),
+        (SystemConfig(M=2, K=3, N=2, tau_p=2), [2, 1], None, 10_123)],
+        ids=["orthogonal_pilots", "one_shared_pilot", "permuted_mask",
+             "ap_without_antennas", "partial_last_chunk"])
+    def test_matches_complex_reference(self, cfg, n_active, mask, n_real):
+        sc = generate_scenario(cfg, 41)
+        dec = full_power_decision(sc, cfg, np.array(n_active))
+        se = mc_se_oracle(sc, dec, cfg, n_real, seed=9, antenna_mask=mask)
+        ref = reference_mc(sc, dec, cfg, n_real, seed=9, antenna_mask=mask)
+        assert np.all(ref > 0)
+        assert np.all(np.abs(se - ref) <= 1e-12 * ref)
 
 
 class TestTotalPower:
