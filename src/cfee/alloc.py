@@ -44,14 +44,24 @@ def _n_on(zeta, M: int):
     return np.maximum(1, np.floor(zeta * M + 0.5).astype(int))
 
 
-def select_aps(scores: np.ndarray, zeta: float) -> np.ndarray:
-    """Indices of the top zeta fraction of APs by score.
+def activation(scores: np.ndarray, zeta) -> Tuple[np.ndarray, np.ndarray]:
+    """The AP activation rule for one scenario's scores: each AP's rank
+    (M,), 0 for the best score with ties to the lower AP index, and the
+    active-set size n_on of each zeta (`_n_on`). AP m is on under zeta
+    when rank[m] < n_on(zeta), so a larger zeta switches on a superset of
+    the APs a smaller one does."""
+    M = scores.shape[0]
+    n_on = _n_on(zeta, M)
+    rank = np.empty(M, dtype=int)
+    rank[np.argsort(-scores, kind="stable")] = np.arange(M)
+    return rank, n_on
 
-    Cardinality is max(1, round-half-up(zeta * M)); ties broken by lower
-    AP index for reproducibility.
-    """
-    n_on = _n_on(zeta, scores.shape[0])
-    return np.sort(np.argsort(-scores, kind="stable")[:n_on])
+
+def select_aps(scores: np.ndarray, zeta: float) -> np.ndarray:
+    """Indices of the top zeta fraction of APs by score, in index order
+    (`activation`)."""
+    rank, n_on = activation(scores, zeta)
+    return (rank < n_on).nonzero()[0]
 
 
 def _antennas(log_ratio, kappa, N: int):
@@ -120,8 +130,7 @@ def realize_batch(actions: np.ndarray, sc: Scenario, cfg: SystemConfig
     actions = np.asarray(actions, dtype=float).reshape(-1, 3)
     zeta, kappa, nu = actions.T
     scores = ap_scores(sc.beta)
-    M = sc.M
-    n_on = _n_on(zeta, M)
+    rank, n_on = activation(scores, zeta)
     if np.any(kappa < 0):
         raise ValueError("kappa must be >= 0")
     if np.any(nu < 0):
@@ -129,8 +138,6 @@ def realize_batch(actions: np.ndarray, sc: Scenario, cfg: SystemConfig
 
     # one stable sort serves every action: AP m is on when its rank is
     # below the action's active-set size
-    rank = np.empty(M, dtype=int)
-    rank[np.argsort(-scores, kind="stable")] = np.arange(M)
     active = rank < n_on[:, None]
 
     # the top AP is always on, so the antenna rule's max score is global

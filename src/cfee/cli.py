@@ -23,6 +23,12 @@ def _write_csv(out: Path, header: str, row_format: str, rows) -> None:
         f.writelines(row_format % tuple(row) + "\n" for row in rows)
 
 
+def _at_least(flag: str, value: int, low: int = 1) -> None:
+    """A count flag below `low` raises ValueError naming it."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_gen(args) -> int:
     conf = load_config(args.config)
     sc = generate_scenario(conf["system"], args.seed)
@@ -33,8 +39,8 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     conf = load_config(args.config)
-    if args.steps is not None and args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if args.steps is not None:
+        _at_least("--steps", args.steps)
     seed = args.seed if args.seed is not None else conf["master_seed"]
     ckpt = train_scheme(conf["system"], args.scheme, conf["ppo"],
                         master_seed=seed, out_dir=args.out,
@@ -69,6 +75,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _at_least("--scenarios", args.scenarios)
     conf = load_config(args.config)
     cfg = conf["system"]
     grid = parse_grid(args.grid) if args.grid else default_grid()
@@ -87,6 +94,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep_pbt(args) -> int:
+    # the standard error of the mean EE needs two scenarios
+    _at_least("--scenarios", args.scenarios, 2)
     values = [float(v) for v in args.values.split(",")]
     ckpt_dir = Path(args.checkpoints)
     checkpoints = {s: ckpt_dir / f"{s}.ckpt" for s in SCHEMES
@@ -104,6 +113,7 @@ def cmd_sweep_pbt(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _at_least("--calls", args.calls)
     metas = {} if args.checkpoint is None else {
         args.checkpoint: load_policy(args.checkpoint).meta}
     cfg = checkpoint_system(args.config, metas)
@@ -126,6 +136,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate_se(args) -> int:
+    _at_least("--cases", args.cases)
+    _at_least("--realizations", args.realizations)
     cases = validate_se(n_cases=args.cases,
                         n_realizations=args.realizations, seed=args.seed)
     worst = max(cases, key=lambda c: c.max_rel_err)

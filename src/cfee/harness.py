@@ -10,8 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 import numpy as np
 import yaml
 
-from .alloc import Action, ZETA_BOUNDS, KAPPA_BOUNDS, NU_BOUNDS, realize, \
-    realize_batch
+from .alloc import Action, ZETA_BOUNDS, KAPPA_BOUNDS, NU_BOUNDS, \
+    activation, ap_scores, realize, realize_batch
 from .config import SystemConfig
 from .env import CellFreeEnv, FeatureNormalizer, beta_features, \
     batch_rewards, DEFAULT_EPISODE_LENGTH, DEFAULT_PENALTY
@@ -218,26 +218,36 @@ class OracleResult:
 def grid_oracle_one(sc: Scenario, grid: Dict[str, np.ndarray],
                     cfg: SystemConfig,
                     penalty: float = DEFAULT_PENALTY) -> OracleResult:
-    """Exhaustive search over the coefficient grid for one scenario, one
-    batch of |kappa| x |nu| actions per zeta.
+    """Exhaustive search over the coefficient grid for one scenario.
+
+    The |kappa| x |nu| actions are realized once, at the grid's largest
+    zeta. Each zeta switches on the top n_on(zeta) APs by score
+    (`alloc.activation`), a subset of those on at the largest, and their
+    antenna counts and powers do not depend on which other APs are on. So
+    that realization, cut to those APs, equals `realize_batch` at the
+    zeta bit for bit.
 
     Ties break toward the lexicographically smallest (zeta, kappa, nu):
     batches run in zeta order, rows in (kappa, nu) order, and only a
     strictly larger reward replaces the best so far.
     """
+    zetas = np.asarray(grid["zeta"], dtype=float)
     kappa = np.repeat(grid["kappa"], len(grid["nu"]))
     nu = np.tile(grid["nu"], len(grid["kappa"]))
+    rank, n_on = activation(ap_scores(sc.beta), zetas)
+    actions = np.column_stack([np.full(len(kappa), zetas.max()), kappa, nu])
+    rows, n_active, eta = realize_batch(actions, sc, cfg)
     best_action, best_reward = None, None
-    for zeta in grid["zeta"]:
-        actions = np.column_stack([np.full(len(kappa), zeta), kappa, nu])
-        # one expression, so that the batch's powers are freed before the
-        # next batch is realized
+    for zeta, n in zip(zetas, n_on):
+        on = rank < n
+        sel = on[rows]
+        # the powers' slice is a copy, freed before the next zeta's
         _, _, ee, shortfall = evaluate_batch(
-            sc, *realize_batch(actions, sc, cfg), cfg)
+            sc, rows[sel], np.where(on, n_active, 0), eta[:, sel], cfg)
         rewards = batch_rewards(ee, shortfall, penalty)
         i = int(np.argmax(rewards))
         if best_reward is None or rewards[i] > best_reward:
-            best_action = Action(*(float(c) for c in actions[i]))
+            best_action = Action(float(zeta), float(kappa[i]), float(nu[i]))
             best_reward = float(rewards[i])
     report = evaluate(sc, realize(best_action, sc, cfg), cfg)
     return OracleResult(action=best_action, reward=best_reward,

@@ -7,7 +7,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass, asdict, fields
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -208,10 +208,13 @@ class RolloutBuffer:
 def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
                opt: Adam, hyper: PpoHyper, rng: np.random.Generator,
                logstd_floor: Optional[float] = None,
-               lr_scale: float = 1.0) -> float:
-    """One PPO update over a full rollout buffer; returns the last
-    minibatch's policy loss. `opt` steps `policy.params`; its state
-    carries over from one update to the next."""
+               lr_scale: float = 1.0) -> Dict[str, float]:
+    """One PPO update over a full rollout buffer. Returns the last
+    minibatch's policy loss ("policy_loss"), the mean over minibatch steps
+    of the pre-clip gradient norm ("grad_norm"), and the share of
+    (sample, step) terms whose surrogate takes the clipped branch
+    ("clip_frac"). `opt` steps `policy.params`; its state carries over
+    from one update to the next."""
     floor = LOGSTD_CLAMP[0] if logstd_floor is None else logstd_floor
     if not buffer.full:
         raise ValueError("rollout buffer not full")
@@ -223,6 +226,7 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
 
     T = buffer.horizon
     policy_loss = 0.0
+    norms, n_clipped = [], 0
     for _ in range(hyper.epochs_per_update):
         order = rng.permutation(T)
         for start in range(0, T, hyper.minibatch):
@@ -245,6 +249,7 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
             # unclipped branch (ties included)
             clipped = np.clip(ratio, 1 - hyper.clip, 1 + hyper.clip) * a
             active = (ratio * a) <= clipped
+            n_clipped += B - int(np.count_nonzero(active))
             coef = ratio * a * active            # (B,)
             std = np.exp(policy.logstd)
             z = (raws - mean) / std
@@ -254,11 +259,13 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
             grad[n_actor:] = -(coef[:, None] * (z ** 2 - 1.0)).sum(axis=0) / B
             # entropy bonus: d/d(logstd) of the Gaussian entropy is 1
             grad[n_actor:] -= hyper.entropy_coef
-            clip_grad_norm(grad, hyper.max_grad_norm, policy.starts)
+            norms.append(clip_grad_norm(grad, hyper.max_grad_norm,
+                                        policy.starts))
             opt.step(grad)
             np.clip(policy.logstd, floor, LOGSTD_CLAMP[1],
                     out=policy.logstd)
-    return policy_loss
+    return {"policy_loss": policy_loss, "grad_norm": float(np.mean(norms)),
+            "clip_frac": n_clipped / (hyper.epochs_per_update * T)}
 
 
 class PpoTrainer:
@@ -298,7 +305,8 @@ class PpoTrainer:
         logs: List[dict] = []
         with open(log_path or os.devnull, "w") as log_file:
             log_file.write("step,mean_reward,policy_loss,group_reward_std,"
-                           "mean_zeta,mean_kappa,mean_nu\n")
+                           "mean_zeta,mean_kappa,mean_nu,grad_norm,"
+                           "clip_frac\n")
             step = 0
             while step < total_steps:
                 buf.reset()
@@ -319,21 +327,23 @@ class PpoTrainer:
                 anneal = max(0.0, 2.0 * progress - 1.0)
                 init = hyper.logstd_floor_init
                 floor = init + anneal * (LOGSTD_CLAMP[0] - init)
-                policy_loss = ppo_update(buf, self.policy, self.opt, hyper,
-                                         self.rng, logstd_floor=floor,
-                                         lr_scale=max(1.0 - progress, 1e-3))
+                stats = ppo_update(buf, self.policy, self.opt, hyper,
+                                   self.rng, logstd_floor=floor,
+                                   lr_scale=max(1.0 - progress, 1e-3))
                 groups = buf.rewards.reshape(-1, GROUP_SIZE)
                 row = {
                     "step": step,
                     "mean_reward": float(buf.rewards.mean()),
-                    "policy_loss": policy_loss,
+                    "policy_loss": stats["policy_loss"],
                     "group_reward_std": float(groups.std(axis=1).mean()),
                     "mean_zeta": float(coeffs[:, 0].mean()),
                     "mean_kappa": float(coeffs[:, 1].mean()),
                     "mean_nu": float(coeffs[:, 2].mean()),
+                    "grad_norm": stats["grad_norm"],
+                    "clip_frac": stats["clip_frac"],
                 }
                 logs.append(row)
-                log_file.write("%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+                log_file.write(("%d" + ",%.12g" * 8 + "\n")
                                % tuple(row.values()))
                 log_file.flush()
         return logs

@@ -183,10 +183,7 @@ class TestGridOracle:
         full = SystemConfig(M=40, K=20, N=20, tau_p=20)
         grid = default_grid(6, 5, 5)
         for sc in held_out_scenarios(full, 2, seed=4):
-            res = grid_oracle_one(sc, grid, full)
-            action, reward = self.brute_force(sc, grid, full)
-            assert res.action == action
-            assert struct.pack("<d", res.reward) == struct.pack("<d", reward)
+            self.assert_brute_force(sc, grid, full)
 
     def test_ties_break_to_the_lexicographic_first(self, cfg):
         # zeta 0.05 and 0.1 both switch on only the top AP (n_on = 1 at
@@ -205,6 +202,52 @@ class TestGridOracle:
                     "nu": np.array([2.0, 2.0])}
         res = grid_oracle_one(sc, repeated, cfg)
         assert res.action == Action(0.6, 1.0, 2.0)
+
+    def assert_brute_force(self, sc, grid, cfg):
+        res = grid_oracle_one(sc, grid, cfg)
+        action, reward = self.brute_force(sc, grid, cfg)
+        assert res.action == action
+        assert struct.pack("<d", res.reward) == struct.pack("<d", reward)
+
+    def test_matches_one_action_at_a_time_shared_pilots(self):
+        # two users per pilot: the coherent term sums over the rows each
+        # zeta keeps of the largest zeta's realization
+        shared = SystemConfig(M=6, K=4, N=3, tau_p=2)
+        for sc in held_out_scenarios(shared, 2, seed=5):
+            self.assert_brute_force(sc, default_grid(6, 5, 5), shared)
+
+    def test_matches_one_action_at_a_time_descending_zeta(self, cfg):
+        grid = {"zeta": np.linspace(1.0, 0.05, 6),
+                "kappa": np.linspace(0.0, 4.0, 4),
+                "nu": np.linspace(0.0, 4.0, 4)}
+        for sc in held_out_scenarios(cfg, 2, seed=6):
+            self.assert_brute_force(sc, grid, cfg)
+
+    def test_degenerate_gamma_only_when_on_at_the_largest_zeta(self, cfg):
+        sc = generate_scenario(cfg, 7)
+        weakest = int(np.argmin(sc.beta.mean(axis=1)))
+        sc.gamma[weakest] = 0.0
+        # n_on = 4 of 5 at zeta 0.8: the weakest AP stays off
+        grid = {"zeta": np.array([0.8, 0.3, 0.6]),
+                "kappa": np.array([0.0, 2.0]), "nu": np.array([0.5, 1.5])}
+        self.assert_brute_force(sc, grid, cfg)
+        grid["zeta"] = np.append(grid["zeta"], 1.0)
+        with pytest.raises(ValueError,
+                           match=f"degenerate gamma row at AP {weakest}"):
+            grid_oracle_one(sc, grid, cfg)
+
+    def test_realizes_once_per_scenario(self, cfg, monkeypatch):
+        calls = []
+        realize_batch = cfee.harness.realize_batch
+
+        def counting(actions, sc, cfg_):
+            calls.append(len(actions))
+            return realize_batch(actions, sc, cfg_)
+
+        monkeypatch.setattr(cfee.harness, "realize_batch", counting)
+        grid_oracle(held_out_scenarios(cfg, 3, seed=8), default_grid(5, 4, 3),
+                    cfg)
+        assert calls == [12, 12, 12]
 
 
 class TestTrainEval:
@@ -426,6 +469,28 @@ class TestLoadConfig:
                      "--steps", steps]) == 2
         assert "--steps must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--scenarios", "0"], "--scenarios must be >= 1, got 0"),
+        (["sweep-pbt", "--checkpoints", ".", "--scenarios", "0"],
+         "--scenarios must be >= 2, got 0"),
+        (["sweep-pbt", "--checkpoints", ".", "--scenarios", "1"],
+         "--scenarios must be >= 2, got 1"),
+        (["bench", "--calls", "0"], "--calls must be >= 1, got 0"),
+        (["validate-se", "--cases", "0"], "--cases must be >= 1, got 0"),
+        (["validate-se", "--realizations", "-3"],
+         "--realizations must be >= 1, got -3"),
+    ], ids=["oracle", "sweep-pbt-0", "sweep-pbt-1", "bench", "validate-se",
+            "validate-se-realizations"])
+    def test_count_flags_named(self, tmp_path, argv, message, capsys):
+        out = tmp_path / "out.csv"
+        argv = argv + (["--out", str(out)] if argv[0] != "validate-se"
+                       else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_int_accepted_for_float(self, tmp_path):
         p = tmp_path / "ints.yaml"

@@ -249,6 +249,27 @@ class TestUpdate:
         assert header.split(",")[3] == "group_reward_std"
         assert logs[0]["group_reward_std"] > 0
 
+    def test_log_records_grad_norm_and_clip_frac(self, tmp_path):
+        rng = np.random.default_rng(15)
+        pol = SquashedGaussianPolicy(init_mlp((3, 8, 1), rng),
+                                     np.array([0.0]), np.array([1.0]))
+        hyper = PpoHyper(rollout_horizon=64, epochs_per_update=4,
+                         minibatch=16, lr_actor=1e-2)
+        trainer = PpoTrainer(GroupEnv(lambda c: c[:, 0]), pol, hyper,
+                             master_seed=2, to_coeffs=pad_to_coeffs)
+        trainer.train(total_steps=64 * 4, log_path=tmp_path / "log.csv")
+        lines = (tmp_path / "log.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[7:] == ["grad_norm", "clip_frac"]
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in lines[1:]])
+        assert rows.shape == (4, 9) and np.all(np.isfinite(rows))
+        assert np.all(rows[:, 7] > 0)
+        assert np.all((rows[:, 8] >= 0) & (rows[:, 8] <= 1))
+        # the first epoch's first minibatch is on-policy (ratio 1), so
+        # several epochs at this step size clip some terms, never all
+        assert 0 < rows[:, 8].max() < 1
+
     def test_divergence_guard(self):
         pol = make_policy()
         rng = np.random.default_rng(13)
