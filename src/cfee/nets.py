@@ -131,32 +131,31 @@ class Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._step = np.empty_like(params)   # work buffers reused
-        self._denom = np.empty_like(params)  # by every step
+        self._buf = np.empty_like(params)  # work buffer reused by every step
         self.t = 0
 
     def step(self, grad: np.ndarray):
-        """Descend along `grad` (negate the gradient to ascend)."""
+        """Descend along `grad` (negate the gradient to ascend) by the
+        textbook lr * mhat / (sqrt(vhat) + eps), its bias corrections
+        c1 = 1 - beta1^t and c2 = 1 - beta2^t folded into two scalars."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        step, denom = self._step, self._denom
-        # m += (1 - b1) * (g - m)
-        np.subtract(grad, self.m, out=step)
-        step *= 1 - b1
-        self.m += step
-        # v += (1 - b2) * (g * g - v)
-        np.multiply(grad, grad, out=step)
-        step -= self.v
-        step *= 1 - b2
-        self.v += step
-        # params -= lr * mhat / (sqrt(vhat) + eps)
-        np.divide(self.v, 1 - b2 ** self.t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        np.divide(self.m, 1 - b1 ** self.t, out=step)
-        step *= self.lr
-        step /= denom
-        self.params -= step
+        b1, b2, buf = self.beta1, self.beta2, self._buf
+        root_c2 = np.sqrt(1 - b2 ** self.t)
+        # m = b1 * m + (1 - b1) * g
+        np.multiply(grad, 1 - b1, out=buf)
+        self.m *= b1
+        self.m += buf
+        # v = b2 * v + (1 - b2) * g * g
+        np.multiply(grad, grad, out=buf)
+        buf *= 1 - b2
+        self.v *= b2
+        self.v += buf
+        # params -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
+        np.sqrt(self.v, out=buf)
+        buf += self.eps * root_c2
+        np.divide(self.m, buf, out=buf)
+        buf *= self.lr * root_c2 / (1 - b1 ** self.t)
+        self.params -= buf
 
 
 @dataclass

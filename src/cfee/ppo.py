@@ -7,7 +7,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass, asdict, fields
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -93,8 +93,6 @@ class SquashedGaussianPolicy:
         actor.bind(self.params[:n])
         self.actor = actor
         self.logstd = self.params[n:]
-        # offset of each parameter array in `params`
-        self.starts = np.append(actor.starts, n)
 
     @property
     def action_dim(self) -> int:
@@ -143,16 +141,10 @@ def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
     return adv
 
 
-def clip_grad_norm(grad: np.ndarray, max_norm: float,
-                   starts: Sequence[int] = (0,)) -> float:
+def clip_grad_norm(grad: np.ndarray, max_norm: float) -> float:
     """Scales a gradient vector in place so its L2 norm is <= max_norm;
-    returns the pre-clip norm. The squared norm adds one pairwise sum per
-    parameter array (`starts` are their offsets) in order: a single sum,
-    or np.add.reduceat's sequential ones, can differ in the last bit."""
-    sq = grad * grad
-    ends = [*starts[1:], len(sq)]
-    total = float(np.sqrt(sum(float(sq[a:b].sum())
-                              for a, b in zip(starts, ends))))
+    returns the pre-clip norm, sqrt(grad . grad) from one dot product."""
+    total = float(np.sqrt(grad @ grad))
     if total > max_norm:
         grad *= max_norm / total
     return total
@@ -178,11 +170,12 @@ def group_advantages(rewards: np.ndarray) -> np.ndarray:
 
 class RolloutBuffer:
     """Fixed-horizon storage for one PPO update, filled one scenario's
-    group of GROUP_SIZE samples at a time."""
+    group of GROUP_SIZE samples at a time. Sample i was drawn on state
+    `states[i // GROUP_SIZE]`: each scenario's state is stored once."""
 
     def __init__(self, horizon: int, obs_dim: int, act_dim: int):
         self.horizon = horizon
-        self.states = np.zeros((horizon, obs_dim))
+        self.states = np.zeros((horizon // GROUP_SIZE, obs_dim))
         self.raws = np.zeros((horizon, act_dim))
         self.logps = np.zeros(horizon)
         self.rewards = np.zeros(horizon)
@@ -191,7 +184,7 @@ class RolloutBuffer:
     def add(self, state, raws, logps, rewards):
         """One scenario's state and the GROUP_SIZE samples drawn on it."""
         rows = slice(self.pos, self.pos + GROUP_SIZE)
-        self.states[rows] = state
+        self.states[self.pos // GROUP_SIZE] = state
         self.raws[rows] = raws
         self.logps[rows] = logps
         self.rewards[rows] = rewards
@@ -209,12 +202,16 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
                opt: Adam, hyper: PpoHyper, rng: np.random.Generator,
                logstd_floor: Optional[float] = None,
                lr_scale: float = 1.0) -> Dict[str, float]:
-    """One PPO update over a full rollout buffer. Returns the last
-    minibatch's policy loss ("policy_loss"), the mean over minibatch steps
-    of the pre-clip gradient norm ("grad_norm"), and the share of
-    (sample, step) terms whose surrogate takes the clipped branch
-    ("clip_frac"). `opt` steps `policy.params`; its state carries over
-    from one update to the next."""
+    """One PPO update over a full rollout buffer. Returns the means over
+    minibatch steps of the policy loss ("policy_loss") and of the pre-clip
+    gradient norm ("grad_norm"), and the share of (sample, step) terms
+    whose surrogate takes the clipped branch ("clip_frac"). `opt` steps
+    `policy.params`; its state carries over from one update to the next.
+
+    The actor runs forward and backward once per distinct scenario of a
+    minibatch, not once per sample: its samples share that scenario's
+    mean, and their output gradients are summed into one row, which gives
+    the per-sample gradient up to the order of the sums."""
     floor = LOGSTD_CLAMP[0] if logstd_floor is None else logstd_floor
     if not buffer.full:
         raise ValueError("rollout buffer not full")
@@ -225,24 +222,25 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
     grad = np.empty(policy.params.size)
 
     T = buffer.horizon
-    policy_loss = 0.0
-    norms, n_clipped = [], 0
+    losses, norms, n_clipped = [], [], 0
     for _ in range(hyper.epochs_per_update):
         order = rng.permutation(T)
         for start in range(0, T, hyper.minibatch):
             idx = order[start:start + hyper.minibatch]
-            states = buffer.states[idx]
+            # the minibatch's distinct scenarios; sample i is on groups[inv[i]]
+            groups, inv = np.unique(idx // GROUP_SIZE, return_inverse=True)
             raws = buffer.raws[idx]
             a = adv[idx]
             logp_old = buffer.logps[idx]
             B = len(idx)
 
-            mean, cache = forward_cache(policy.actor, states)
+            mean_u, cache = forward_cache(policy.actor, buffer.states[groups])
+            mean = mean_u[inv]
             logp_new = policy.log_prob(raws, mean)
             ratio = np.exp(logp_new - logp_old)
             surr = clipped_surrogate(ratio, a, hyper.clip)
-            policy_loss = -float(surr.mean())
-            if not np.isfinite(policy_loss):
+            losses.append(-float(surr.mean()))
+            if not np.isfinite(losses[-1]):
                 raise RuntimeError("policy loss diverged (non-finite)")
 
             # d(objective)/d(logp): active only where the min picks the
@@ -253,18 +251,20 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
             coef = ratio * a * active            # (B,)
             std = np.exp(policy.logstd)
             z = (raws - mean) / std
-            # ascend: feed the negated gradient to the descending optimizer
-            grad_mean = -(coef[:, None] * (z / std)) / B
+            # ascend: feed the negated gradient to the descending optimizer;
+            # a scenario's row sums the gradients of its samples
+            grad_mean = np.zeros_like(mean_u)
+            np.add.at(grad_mean, inv, -(coef[:, None] * (z / std)) / B)
             backward(policy.actor, cache, grad_mean, grad[:n_actor])
             grad[n_actor:] = -(coef[:, None] * (z ** 2 - 1.0)).sum(axis=0) / B
             # entropy bonus: d/d(logstd) of the Gaussian entropy is 1
             grad[n_actor:] -= hyper.entropy_coef
-            norms.append(clip_grad_norm(grad, hyper.max_grad_norm,
-                                        policy.starts))
+            norms.append(clip_grad_norm(grad, hyper.max_grad_norm))
             opt.step(grad)
             np.clip(policy.logstd, floor, LOGSTD_CLAMP[1],
                     out=policy.logstd)
-    return {"policy_loss": policy_loss, "grad_norm": float(np.mean(norms)),
+    return {"policy_loss": float(np.mean(losses)),
+            "grad_norm": float(np.mean(norms)),
             "clip_frac": n_clipped / (hyper.epochs_per_update * T)}
 
 

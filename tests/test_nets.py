@@ -108,13 +108,32 @@ class TestOptimizers:
             opt.step(grad)
             gw, gb = p.views(grad)
             grads = [g for pair in zip(gw, gb) for g in pair]
+            root_c2 = np.sqrt(1 - 0.999 ** t)
+            scale = 1e-2 * root_c2 / (1 - 0.9 ** t)
             for a, g, mi, vi in zip(arrays, grads, m, v):
-                mi += (1 - 0.9) * (g - mi)
-                vi += (1 - 0.999) * (g * g - vi)
-                a -= 1e-2 * (mi / (1 - 0.9 ** t)) / (
-                    np.sqrt(vi / (1 - 0.999 ** t)) + 1e-8)
+                mi *= 0.9
+                mi += g * (1 - 0.9)
+                vi *= 0.999
+                vi += g * g * (1 - 0.999)
+                a -= mi / (np.sqrt(vi) + 1e-8 * root_c2) * scale
         for a, b in zip(arrays, p.arrays()):
             assert np.array_equal(a, b)
+
+    def test_tracks_textbook_adam(self):
+        # bias-corrected mhat / (sqrt(vhat) + eps) from the first step
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=200)
+        ref = x.copy()
+        opt = Adam(x, lr=1e-2)
+        m, v = np.zeros_like(x), np.zeros_like(x)
+        for t in range(1, 51):
+            grad = rng.normal(size=x.size) * rng.uniform(1e-3, 1e3)
+            opt.step(grad)
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad ** 2
+            mhat, vhat = m / (1 - 0.9 ** t), v / (1 - 0.999 ** t)
+            ref -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
+            np.testing.assert_allclose(x, ref, rtol=1e-12, atol=0)
 
 
 class TestFlatten:

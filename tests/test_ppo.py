@@ -9,9 +9,9 @@ import pytest
 import cfee.nets
 import cfee.ppo
 from cfee.harness import load_config
-from cfee.nets import Adam, forward, init_mlp
-from cfee.ppo import (GROUP_SIZE, PpoHyper, PpoTrainer, RolloutBuffer,
-                      SquashedGaussianPolicy, clip_grad_norm,
+from cfee.nets import Adam, backward, forward, forward_cache, init_mlp
+from cfee.ppo import (GROUP_SIZE, LOGSTD_CLAMP, PpoHyper, PpoTrainer,
+                      RolloutBuffer, SquashedGaussianPolicy, clip_grad_norm,
                       clipped_surrogate, gae, group_advantages,
                       load_checkpoint, ppo_update, save_checkpoint)
 
@@ -270,6 +270,89 @@ class TestUpdate:
         # several epochs at this step size clip some terms, never all
         assert 0 < rows[:, 8].max() < 1
 
+    def test_log_policy_loss_is_mean_over_steps(self, tmp_path,
+                                                monkeypatch):
+        # the policy_loss column averages the update's minibatch steps
+        step_losses = []
+
+        def recording(ratio, adv, eps):
+            surr = clipped_surrogate(ratio, adv, eps)
+            step_losses.append(-float(surr.mean()))
+            return surr
+        monkeypatch.setattr(cfee.ppo, "clipped_surrogate", recording)
+        rng = np.random.default_rng(16)
+        pol = SquashedGaussianPolicy(init_mlp((3, 8, 1), rng),
+                                     np.array([0.0]), np.array([1.0]))
+        hyper = PpoHyper(rollout_horizon=64, epochs_per_update=2,
+                         minibatch=16, lr_actor=1e-2)
+        trainer = PpoTrainer(GroupEnv(lambda c: c[:, 0]), pol, hyper,
+                             master_seed=3, to_coeffs=pad_to_coeffs)
+        trainer.train(total_steps=64 * 3, log_path=tmp_path / "log.csv")
+        lines = (tmp_path / "log.csv").read_text().splitlines()
+        assert lines[0].split(",")[2] == "policy_loss"
+        logged = [float(line.split(",")[2]) for line in lines[1:]]
+        per_update = np.reshape(step_losses, (3, 8))
+        assert logged == pytest.approx(per_update.mean(axis=1), rel=1e-11)
+        assert logged != pytest.approx(per_update[:, -1], rel=1e-6)
+
+    def test_per_scenario_pass_matches_per_sample_step(self, monkeypatch):
+        # one epoch of ppo_update against the per-sample step it replaces:
+        # forward and backward over all 64 rows, each state repeated
+        horizon, n_mb = 512, 64
+        rng = np.random.default_rng(17)
+        pol, ref = make_policy(seed=18), make_policy(seed=18)
+        buf = RolloutBuffer(horizon, 4, 2)
+        fill_buffer(buf, pol, lambda s, a: rng.normal(size=len(a)), rng)
+        # the first minibatch holds all 8 samples of scenario 0 and one
+        # sample of each of 56 others; the rest is shuffled
+        first = np.r_[np.arange(GROUP_SIZE),
+                      GROUP_SIZE * np.arange(1, n_mb - GROUP_SIZE + 1)]
+        order = np.r_[first, rng.permutation(
+            np.setdiff1d(np.arange(horizon), first))]
+
+        class FixedOrder:
+            def permutation(self, n):
+                return order
+        hyper = PpoHyper(rollout_horizon=horizon, epochs_per_update=1,
+                         minibatch=n_mb, lr_actor=1e-2)
+        rows = []
+
+        def counting(params, x):
+            rows.append(len(x))
+            return forward_cache(params, x)
+        monkeypatch.setattr(cfee.ppo, "forward_cache", counting)
+        ppo_update(buf, pol, Adam(pol.params, lr=hyper.lr_actor), hyper,
+                   FixedOrder())
+        assert rows[0] == n_mb - GROUP_SIZE + 1
+        assert len(rows) == horizon // n_mb
+
+        opt = Adam(ref.params, lr=hyper.lr_actor)
+        adv = group_advantages(buf.rewards)
+        n_actor = ref.actor.n_params()
+        grad = np.empty(ref.params.size)
+        for start in range(0, horizon, n_mb):
+            idx = order[start:start + n_mb]
+            raws, a = buf.raws[idx], adv[idx]
+            mean, cache = forward_cache(ref.actor,
+                                        buf.states[idx // GROUP_SIZE])
+            ratio = np.exp(ref.log_prob(raws, mean) - buf.logps[idx])
+            active = ratio * a <= np.clip(
+                ratio, 1 - hyper.clip, 1 + hyper.clip) * a
+            coef = ratio * a * active
+            std = np.exp(ref.logstd)
+            z = (raws - mean) / std
+            backward(ref.actor, cache, -(coef[:, None] * (z / std)) / n_mb,
+                     grad[:n_actor])
+            grad[n_actor:] = (-(coef[:, None] * (z ** 2 - 1.0)).sum(axis=0)
+                              / n_mb - hyper.entropy_coef)
+            clip_grad_norm(grad, hyper.max_grad_norm)
+            opt.step(grad)
+            np.clip(ref.logstd, LOGSTD_CLAMP[0], LOGSTD_CLAMP[1],
+                    out=ref.logstd)
+        assert not np.array_equal(pol.params, make_policy(seed=18).params)
+        np.testing.assert_allclose(pol.params, ref.params, rtol=1e-12,
+                                   atol=0)
+
     def test_divergence_guard(self):
         pol = make_policy()
         rng = np.random.default_rng(13)
@@ -417,19 +500,18 @@ class TestCheckpoint:
 
 class TestClipGradNorm:
     def test_matches_per_array_norm(self):
-        # bit-equal to the norm of the gradient as a list of per-layer
-        # arrays, each array's squares summed in turn
+        # a gradient laid out as the policy's per-layer arrays: its norm is
+        # bit-equal to one dot product of the whole vector
         rng = np.random.default_rng(30)
         pol = make_policy(obs_dim=50, act_dim=3, seed=31)
         for _ in range(20):
             arrays = [rng.normal(size=a.shape)
                       for a in pol.actor.arrays() + [pol.logstd]]
             grad = np.concatenate([a.ravel() for a in arrays])
-            expected = float(np.sqrt(sum(float((g * g).sum())
-                                         for g in arrays)))
-            assert clip_grad_norm(grad, 0.5, pol.starts) == expected
-            assert np.array_equal(grad, np.concatenate(
-                [(a * (0.5 / expected)).ravel() for a in arrays]))
+            expected = float(np.sqrt(grad @ grad))
+            scaled = grad * (0.5 / expected)
+            assert clip_grad_norm(grad, 0.5) == expected
+            assert np.array_equal(grad, scaled)
 
     def test_below_bound_untouched(self):
         grad = np.array([0.3, 0.4])
