@@ -31,16 +31,24 @@ class Action:
 
 
 def ap_scores(beta: np.ndarray) -> np.ndarray:
-    """Per-AP importance: average large-scale fading across users."""
-    if np.any(beta <= 0):
+    """Per-AP importance: average large-scale fading across users (the
+    sum over K divided by K, `mean`'s arithmetic without its overhead)."""
+    if not beta.min() > 0:  # NaN fails too
         raise ValueError("beta must be positive")
-    return beta.mean(axis=1)
+    return beta.sum(axis=1) / beta.shape[1]
 
 
 def _n_on(zeta, M: int):
-    """Active-set size max(1, round-half-up(zeta M)), elementwise."""
-    if not np.all((0 < zeta) & (zeta <= 1)):
+    """Active-set size max(1, round-half-up(zeta M)) of a zeta in (0, 1],
+    or of each entry of an array of them. One zeta takes scalar
+    arithmetic, a few numpy calls cheaper per decision; both floor the
+    same float64 value zeta M + 0.5, so they agree bit for bit."""
+    scalar = not isinstance(zeta, np.ndarray)
+    if not (0 < zeta <= 1 if scalar
+            else np.all((0 < zeta) & (zeta <= 1))):
         raise ValueError("zeta must lie in (0, 1]")
+    if scalar:
+        return max(1, int(zeta * M + 0.5))  # int() floors a positive value
     return np.maximum(1, np.floor(zeta * M + 0.5).astype(int))
 
 
@@ -58,10 +66,11 @@ def activation(scores: np.ndarray, zeta) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def select_aps(scores: np.ndarray, zeta: float) -> np.ndarray:
-    """Indices of the top zeta fraction of APs by score, in index order
-    (`activation`)."""
-    rank, n_on = activation(scores, zeta)
-    return (rank < n_on).nonzero()[0]
+    """Indices of the top zeta fraction of APs by score, in index order:
+    `activation`'s rule for one zeta, read off the sort without a rank
+    array."""
+    n_on = _n_on(zeta, scores.shape[0])
+    return np.sort(np.argsort(-scores, kind="stable")[:n_on])
 
 
 def _antennas(log_ratio, kappa, N: int):
@@ -84,17 +93,17 @@ def allocate_antennas(scores: np.ndarray, active: np.ndarray, kappa: float,
     return n_active
 
 
-def _check_gamma_rows(gamma: np.ndarray, rows: np.ndarray):
-    bad = rows[np.all(gamma[rows] <= 0, axis=1)]
+def _ratios(gamma: np.ndarray,
+            rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Maxima of the `rows` of `gamma` and those rows divided by them
+    (row-normalized powers keep exponentiation in a safe range). A row
+    with no positive entry raises ValueError naming the first such AP."""
+    g = gamma[rows]
+    gmax = g.max(axis=1)
+    bad = rows[gmax <= 0]
     if len(bad):
         raise ValueError(f"degenerate gamma row at AP {bad[0]}")
-
-
-def _ratios(gamma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row maxima of `gamma` and the rows divided by them (row-normalized
-    powers keep exponentiation in a safe range)."""
-    gmax = gamma.max(axis=1)
-    return gmax, gamma / gmax[:, None]
+    return gmax, g / gmax[:, None]
 
 
 def _power_rows(gmax: np.ndarray, r: np.ndarray,
@@ -113,9 +122,8 @@ def allocate_power(gamma: np.ndarray, n_active: np.ndarray,
     if nu < 0:
         raise ValueError("nu must be >= 0")
     active = np.asarray(active, dtype=int)
-    _check_gamma_rows(gamma, active)
     eta = np.zeros_like(gamma)
-    num, den = _power_rows(*_ratios(gamma[active]), nu)
+    num, den = _power_rows(*_ratios(gamma, active), nu)
     eta[active] = num / (den * n_active[active])[:, None]
     return eta
 
@@ -148,8 +156,7 @@ def realize_batch(actions: np.ndarray, sc: Scenario, cfg: SystemConfig
     # the power rule once per distinct nu, with a scalar exponent (an
     # array of exponents can round differently), gathered per action
     rows = np.flatnonzero(active.any(axis=0))
-    _check_gamma_rows(sc.gamma, rows)
-    gmax, r = _ratios(sc.gamma[rows])
+    gmax, r = _ratios(sc.gamma, rows)
     nus, which = np.unique(nu, return_inverse=True)
     num, den = map(np.stack, zip(*(_power_rows(gmax, r, float(v))
                                    for v in nus)))

@@ -34,6 +34,7 @@ class FeatureNormalizer:
         self.count = 0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros(dim)
+        self._frozen_std: Optional[np.ndarray] = None
 
     @property
     def frozen(self) -> bool:
@@ -48,9 +49,14 @@ class FeatureNormalizer:
         self.m2 += delta * (x - self.mean)
 
     def std(self) -> np.ndarray:
-        if self.count < 2:
-            return np.ones(self.dim)
-        return np.sqrt(np.maximum(self.m2 / (self.count - 1), 1e-8))
+        """Per-feature standard deviation, kept once the statistics freeze."""
+        if self._frozen_std is not None:
+            return self._frozen_std
+        std = np.ones(self.dim) if self.count < 2 else \
+            np.sqrt(np.maximum(self.m2 / (self.count - 1), 1e-8))
+        if self.frozen:
+            self._frozen_std = std
+        return std
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std()

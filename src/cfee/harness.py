@@ -19,8 +19,8 @@ from .netgen import Scenario, generate_scenario
 from .perf import AllocationDecision, PerfReport, closed_form_se, evaluate, \
     evaluate_batch, mc_se_oracle
 from .nets import init_mlp
-from .ppo import PpoHyper, PpoTrainer, SquashedGaussianPolicy, HIDDEN_SIZES, \
-    load_checkpoint, save_checkpoint
+from .ppo import PpoHyper, PpoTrainer, PolicySnapshot, \
+    SquashedGaussianPolicy, HIDDEN_SIZES, load_checkpoint, save_checkpoint
 
 SCHEMES = ("proposed", "drl_ao", "drl_ap")
 
@@ -106,11 +106,18 @@ def train_scheme(cfg: SystemConfig, scheme: str, hyper: PpoHyper,
 
 @dataclass
 class LoadedPolicy:
-    policy: SquashedGaussianPolicy
+    """A policy ready for decisions. `policy` may be given as a trained
+    SquashedGaussianPolicy; `__post_init__`, the one conversion point,
+    replaces it with its PolicySnapshot, so the field always holds one."""
+    policy: PolicySnapshot
     scheme: str
     normalizer: Optional[FeatureNormalizer]
     feature_mode: str
     meta: dict
+
+    def __post_init__(self):
+        if not isinstance(self.policy, PolicySnapshot):
+            self.policy = PolicySnapshot(self.policy)
 
 
 def load_policy(ckpt_path) -> LoadedPolicy:

@@ -11,13 +11,15 @@ import numpy as np
 class MlpParams:
     """Dense network parameters: linear layers with ReLU hidden units.
 
-    Every parameter lives in one float64 vector, `flat`, laid out w0, b0,
-    w1, b1, ...; `weights[i]` (shape (out_i, in_i)) and `biases[i]` are
-    views into it, so an update of `flat` updates every layer at once.
+    Every parameter lives in one vector, `flat`, a copy of the arrays
+    given in `dtype`, laid out w0, b0, w1, b1, ...; `weights[i]` (shape
+    (out_i, in_i)) and `biases[i]` are views into it, so an update of
+    `flat` updates every layer at once.
     """
 
     def __init__(self, weights: Sequence[np.ndarray],
-                 biases: Sequence[np.ndarray], sizes: Sequence[int]):
+                 biases: Sequence[np.ndarray], sizes: Sequence[int],
+                 dtype=np.float64):
         self.sizes = tuple(sizes)
         arrays = [a for pair in zip(weights, biases) for a in pair]
         self._shapes = [np.shape(a) for a in arrays]
@@ -26,7 +28,7 @@ class MlpParams:
         # the leading empty array gives a network with no layers an empty
         # `flat`
         self.flat = np.concatenate(
-            [np.zeros(0)] + [np.ravel(a) for a in arrays]).astype(float)
+            [np.zeros(0)] + [np.ravel(a) for a in arrays]).astype(dtype)
         self.weights, self.biases = self.views(self.flat)
 
     def views(self, vec: np.ndarray):
@@ -74,26 +76,34 @@ def zero_mlp(sizes: Sequence[int]) -> MlpParams:
                      [np.zeros(n_out) for _, n_out in pairs], tuple(sizes))
 
 
-def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Forward pass; accepts (in,) or (batch, in)."""
-    y, _ = forward_cache(params, x)
-    return y
-
-
-def forward_cache(params: MlpParams, x: np.ndarray):
-    """Forward pass keeping the activations needed for backward()."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    h = x[None, :] if squeeze else x
+def _layers(params: MlpParams, x: np.ndarray):
+    """x ((in,) or (batch, in)) as a 2-D batch in the parameters' dtype,
+    then each layer's output in turn."""
+    h = np.asarray(x, dtype=params.flat.dtype)
+    h = h[None, :] if h.ndim == 1 else h
     if h.shape[1] != params.sizes[0]:
         raise ValueError(f"input dim {h.shape[1]} != {params.sizes[0]}")
-    acts = [h]
+    yield h
     n_layers = len(params.weights)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w.T + b
         if i < n_layers - 1:
             h = np.maximum(h, 0.0)
-        acts.append(h)
+        yield h
+
+
+def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Forward pass in the parameters' dtype, keeping no activations;
+    accepts (in,) or (batch, in)."""
+    for y in _layers(params, x):
+        pass
+    return y[0] if np.ndim(x) == 1 else y
+
+
+def forward_cache(params: MlpParams, x: np.ndarray):
+    """Forward pass keeping the activations needed for backward()."""
+    acts = list(_layers(params, x))
+    squeeze = np.ndim(x) == 1
     y = acts[-1][0] if squeeze else acts[-1]
     return y, (acts, squeeze)
 

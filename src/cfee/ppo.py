@@ -98,10 +98,6 @@ class SquashedGaussianPolicy:
     def action_dim(self) -> int:
         return self.lo.shape[0]
 
-    def squash(self, raw: np.ndarray) -> np.ndarray:
-        s = 1.0 / (1.0 + np.exp(-raw))
-        return self.lo + (self.hi - self.lo) * s
-
     def log_prob(self, raw: np.ndarray, mean: np.ndarray) -> np.ndarray:
         """Density of the squashed action at squash(raw), given the mean."""
         z = (raw - mean) / np.exp(self.logstd)
@@ -118,10 +114,31 @@ class SquashedGaussianPolicy:
         mean = forward(self.actor, state)
         raw = mean + np.exp(self.logstd) * rng.standard_normal(
             (n, self.action_dim))
-        return raw, self.squash(raw), self.log_prob(raw, mean)
+        return raw, squash(raw, self.lo, self.hi), self.log_prob(raw, mean)
+
+
+class PolicySnapshot:
+    """A policy's deterministic decision for inference: a float32 copy of
+    its actor (half the weight bytes per decision) and its action box,
+    taken when built; later changes to the policy do not reach it. The
+    squash runs in float64, as training does throughout."""
+
+    def __init__(self, policy):
+        actor = policy.actor
+        self.actor = MlpParams(actor.weights, actor.biases, actor.sizes,
+                               dtype=np.float32)
+        self.lo, self.hi = policy.lo.copy(), policy.hi.copy()
 
     def deterministic_action(self, state: np.ndarray) -> np.ndarray:
-        return self.squash(forward(self.actor, state))
+        """The squashed mean action for one state, float64."""
+        return squash(forward(self.actor, state).astype(float),
+                      self.lo, self.hi)
+
+
+def squash(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-coordinate sigmoid of pre-squash values into the box [lo, hi]."""
+    s = 1.0 / (1.0 + np.exp(-raw))
+    return lo + (hi - lo) * s
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,

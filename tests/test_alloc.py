@@ -9,6 +9,7 @@ from cfee.netgen import Scenario, generate_scenario
 DESK = SystemConfig(M=10, K=5, N=8, tau_p=5)
 FULL = SystemConfig(M=40, K=20, N=20, tau_p=20)
 SHARED = SystemConfig(M=10, K=6, N=8, tau_p=2)   # users share pilots
+ONE_AP = SystemConfig(M=1, K=3, N=4, tau_p=3)
 
 
 def make_scenario(beta, gamma, seed=0):
@@ -234,6 +235,10 @@ def assert_rows_match_reference(actions, sc, cfg):
         assert np.array_equal(dec.active, ref_active)
         assert np.array_equal(dec.n_active, ref_n)
         assert same_bits(dec.eta, ref_eta)
+        # the one-action path against the batch's row, directly
+        assert np.array_equal(dec.active, np.flatnonzero(n_active[b]))
+        assert np.array_equal(dec.n_active, n_active[b])
+        assert np.array_equal(dec.eta, eta[b])
     # the rows are the APs some action switches on, in AP order, and an
     # action's powers are exactly 0 on the rows it has off
     assert np.array_equal(rows, np.flatnonzero(switched_on))
@@ -243,16 +248,16 @@ def assert_rows_match_reference(actions, sc, cfg):
 
 
 class TestRealizeBatch:
-    @pytest.mark.parametrize("cfg", [DESK, FULL, SHARED],
-                             ids=["desk", "full", "shared_pilots"])
+    @pytest.mark.parametrize("cfg", [DESK, FULL, SHARED, ONE_AP],
+                             ids=["desk", "full", "shared_pilots", "one_ap"])
     def test_random_rows_bit_equal_reference(self, cfg):
         rng = np.random.default_rng(cfg.M * 100 + cfg.tau_p)
         for seed in range(3):
             sc = generate_scenario(cfg, seed)
             assert_rows_match_reference(random_actions(rng, 60), sc, cfg)
 
-    @pytest.mark.parametrize("cfg", [DESK, FULL, SHARED],
-                             ids=["desk", "full", "shared_pilots"])
+    @pytest.mark.parametrize("cfg", [DESK, FULL, SHARED, ONE_AP],
+                             ids=["desk", "full", "shared_pilots", "one_ap"])
     def test_edge_coefficients_bit_equal_reference(self, cfg):
         # repeated nu values, nu in {0, 1}, kappa = 0, and zeta M + 0.5
         # landing exactly on an integer (round-half-up boundaries)
@@ -263,6 +268,7 @@ class TestRealizeBatch:
                             for k in (0.0, 1.5) for n in (0.0, 1.0, 2.5)]
                            + [(0.5, 2.0, 0.7)] * 4)
         assert np.floor(actions[0, 0] * M + 0.5) == 1.0
+        assert all(z * M + 0.5 == j + 1 for j, z in enumerate(zetas[:M]))
         assert_rows_match_reference(actions, sc, cfg)
 
     def test_tied_ap_scores(self):
@@ -323,13 +329,17 @@ class TestRealizeErrors:
     def test_bad_coefficient(self, action, msg):
         sc = generate_scenario(DESK, 0)
         one, batch = self.errors(action, sc, DESK)
-        assert one == batch and msg in one
+        assert one == batch == self.MESSAGES[msg]
+
+    MESSAGES = {"zeta": "zeta must lie in (0, 1]",
+                "kappa": "kappa must be >= 0", "nu": "nu must be >= 0"}
 
     def test_nonpositive_beta(self):
-        sc = generate_scenario(DESK, 0)
-        sc.beta[3, 2] = 0.0
-        one, batch = self.errors(self.GOOD, sc, DESK)
-        assert one == batch == "beta must be positive"
+        for bad in (0.0, -1e-12, float("nan")):
+            sc = generate_scenario(DESK, 0)
+            sc.beta[3, 2] = bad
+            one, batch = self.errors(self.GOOD, sc, DESK)
+            assert one == batch == "beta must be positive"
 
     def test_degenerate_gamma_only_on_active_ap(self):
         sc = generate_scenario(DESK, 0)
@@ -340,3 +350,11 @@ class TestRealizeErrors:
         realize_batch(np.array([self.GOOD] * 2), sc, DESK)
         one, batch = self.errors((1.0, 1.0, 1.0), sc, DESK)
         assert one == batch == f"degenerate gamma row at AP {weakest}"
+        # with several degenerate rows on, the lowest AP index is named
+        strongest = int(np.argmax(ap_scores(sc.beta)))
+        sc.gamma[strongest] = -1.0
+        one, batch = self.errors((1.0, 1.0, 1.0), sc, DESK)
+        assert one == batch == \
+            f"degenerate gamma row at AP {min(weakest, strongest)}"
+        one, batch = self.errors(self.GOOD, sc, DESK)
+        assert one == batch == f"degenerate gamma row at AP {strongest}"

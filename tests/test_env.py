@@ -59,6 +59,39 @@ class TestFeatureNormalizer:
         x = np.array([0.3, -0.7])
         assert np.allclose(back.transform(x), norm.transform(x))
 
+    @staticmethod
+    def formula(norm):
+        if norm.count < 2:
+            return np.ones(norm.dim)
+        return np.sqrt(np.maximum(norm.m2 / (norm.count - 1), 1e-8))
+
+    def test_std_while_warming_up_and_frozen(self):
+        rng = np.random.default_rng(4)
+        norm = FeatureNormalizer(5, warmup=6)
+        seen = []
+        for _ in range(9):
+            assert np.array_equal(norm.std(), self.formula(norm))
+            seen.append(norm.std().copy())
+            norm.update(rng.normal(0.0, 3.0, size=5))
+        assert norm.frozen
+        assert np.array_equal(norm.std(), self.formula(norm))
+        # it moved while warming up, and stays put once frozen
+        assert not np.array_equal(seen[3], seen[5])
+        assert np.array_equal(seen[6], seen[8])
+
+    def test_std_after_from_state_dict(self):
+        rng = np.random.default_rng(5)
+        for n_updates in (1, 3, 4):   # warming up, then frozen at 4
+            norm = FeatureNormalizer(3, warmup=4)
+            for _ in range(n_updates):
+                norm.update(rng.normal(size=3))
+            norm.std()
+            back = FeatureNormalizer.from_state_dict(norm.state_dict())
+            assert np.array_equal(back.std(), self.formula(back))
+            assert np.array_equal(back.std(), norm.std())
+            back.update(rng.normal(size=3))
+            assert np.array_equal(back.std(), self.formula(back))
+
 
 class TestEnv:
     def test_reset_deterministic(self, cfg):

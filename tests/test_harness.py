@@ -10,18 +10,18 @@ import cfee.cli
 import cfee.harness
 from cfee.cli import main
 from cfee.config import SystemConfig
-from cfee.harness import (ENV_TYPES, bench_runtime, default_grid,
-                          evaluate_policy, grid_oracle, grid_oracle_one,
-                          held_out_scenarios, latency_growth_exponent,
-                          load_config, load_policy, parse_grid,
-                          policy_action, policy_features, scheme_action,
-                          scheme_bounds, scheme_coeffs, sweep_pbt,
-                          train_scheme, validate_se)
+from cfee.harness import (ENV_TYPES, LoadedPolicy, bench_runtime,
+                          default_grid, evaluate_policy, grid_oracle,
+                          grid_oracle_one, held_out_scenarios,
+                          latency_growth_exponent, load_config, load_policy,
+                          parse_grid, policy_action, policy_features,
+                          scheme_action, scheme_bounds, scheme_coeffs,
+                          sweep_pbt, train_scheme, validate_se)
 from cfee.alloc import Action, realize
 from cfee.env import CellFreeEnv, batch_rewards
 from cfee.netgen import Scenario, generate_scenario, save_scenario
 from cfee.perf import evaluate
-from cfee.ppo import PpoHyper
+from cfee.ppo import PolicySnapshot, PpoHyper, load_checkpoint
 
 
 @pytest.fixture
@@ -304,6 +304,65 @@ class TestTrainEval:
         scen = held_out_scenarios(cfg, 5, seed=0)
         assert all(sc.seed >= 2 ** 62 for sc in scen)
         assert len({sc.seed for sc in scen}) == 5
+
+
+class TestFloat32Inference:
+    """Decisions come from a float32 snapshot of the trained float64 actor
+    (`LoadedPolicy.policy`)."""
+
+    DESK = SystemConfig(M=10, K=5, N=8, tau_p=5)
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        ckpt = train_scheme(self.DESK, "proposed", small_hyper(),
+                            master_seed=4,
+                            out_dir=tmp_path_factory.mktemp("desk"),
+                            episode_length=16, total_steps=512)
+        return ckpt, held_out_scenarios(self.DESK, 200, seed=1)
+
+    @staticmethod
+    def float64_action(policy, feats):
+        h = feats
+        for i, (w, b) in enumerate(zip(policy.actor.weights,
+                                       policy.actor.biases)):
+            h = w @ h + b
+            if i < len(policy.actor.weights) - 1:
+                h = np.maximum(h, 0.0)
+        return policy.lo + (policy.hi - policy.lo) / (1.0 + np.exp(-h))
+
+    def test_within_1e6_of_float64_with_same_antennas(self, trained):
+        ckpt, scenarios = trained
+        lp = load_policy(ckpt)
+        policy64, _, _, _ = load_checkpoint(ckpt)
+        box = policy64.hi - policy64.lo
+        for sc in scenarios:
+            feats = policy_features(sc, lp)
+            a32 = lp.policy.deterministic_action(feats)
+            a64 = self.float64_action(policy64, feats)
+            assert a32.dtype == np.float64
+            assert np.all(np.abs(a32 - a64) <= 1e-6 * box)
+            d32 = realize(scheme_action(a32, "proposed"), sc, self.DESK)
+            d64 = realize(scheme_action(a64, "proposed"), sc, self.DESK)
+            assert np.array_equal(d32.n_active, d64.n_active)
+
+    def test_snapshot_is_frozen(self, trained):
+        ckpt, scenarios = trained
+        policy, _, _, meta = load_checkpoint(ckpt)
+        lp = LoadedPolicy(policy=policy, scheme="proposed",
+                          normalizer=load_policy(ckpt).normalizer,
+                          feature_mode="db_standardized", meta=meta)
+        feats = [policy_features(sc, lp) for sc in scenarios[:20]]
+        before = [lp.policy.deterministic_action(f) for f in feats]
+        policy.params[:] = 0.0
+        after = [lp.policy.deterministic_action(f) for f in feats]
+        assert np.array_equal(before, after)
+        assert lp.policy.actor.flat.dtype == np.float32
+
+    def test_given_snapshot_is_kept(self, trained):
+        ckpt, _ = trained
+        lp = load_policy(ckpt)
+        assert isinstance(lp.policy, PolicySnapshot)
+        assert dataclasses.replace(lp, meta={}).policy is lp.policy
 
 
 class TestDominantApGeometry:

@@ -46,6 +46,21 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(p, np.ones(4))
 
+    def test_runs_in_parameter_dtype(self):
+        rng = np.random.default_rng(4)
+        p = init_mlp((6, 16, 3), rng)
+        x = rng.normal(size=(5, 6))
+        y, _ = forward_cache(p, x)
+        assert np.array_equal(forward(p, x), y)
+        p32 = MlpParams(p.weights, p.biases, p.sizes, dtype=np.float32)
+        assert p32.flat.dtype == np.float32
+        y32 = forward(p32, x)
+        assert y32.dtype == np.float32
+        assert np.allclose(y32, y, rtol=1e-5, atol=1e-5)
+        # the parameters are a copy of the arrays given
+        p.flat[:] = 0.0
+        assert np.array_equal(forward(p32, x), y32)
+
 
 class TestGradCheck:
     def test_linear_net_exact(self):

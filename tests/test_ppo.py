@@ -13,7 +13,8 @@ from cfee.nets import Adam, backward, forward, forward_cache, init_mlp
 from cfee.ppo import (GROUP_SIZE, LOGSTD_CLAMP, PpoHyper, PpoTrainer,
                       RolloutBuffer, SquashedGaussianPolicy, clip_grad_norm,
                       clipped_surrogate, gae, group_advantages,
-                      load_checkpoint, ppo_update, save_checkpoint)
+                      load_checkpoint, ppo_update, save_checkpoint,
+                      squash)
 
 
 def make_policy(obs_dim=4, act_dim=2, seed=0, lo=-1.0, hi=1.0):
@@ -30,7 +31,7 @@ class TestSampling:
         state = rng.normal(size=4)
         mean = forward(pol.actor, state)
         raws = mean + np.exp(pol.logstd) * rng.standard_normal((1_000_000, 2))
-        actions = pol.squash(raws)
+        actions = squash(raws, pol.lo, pol.hi)
         assert actions.min() >= 0.05
         assert actions.max() <= 1.0
 
@@ -39,7 +40,7 @@ class TestSampling:
         pol.logstd[:] = -20.0
         state = np.ones(4)
         raw, action, _ = pol.sample(state, np.random.default_rng(2), 1)
-        det = pol.deterministic_action(state)
+        det = squash(forward(pol.actor, state), pol.lo, pol.hi)
         assert np.allclose(action[0], det, atol=1e-6)
 
     def test_log_prob_matches_histogram(self):
@@ -50,7 +51,7 @@ class TestSampling:
         mean = forward(pol.actor, state)
         n = 1_000_000
         raws = mean + np.exp(pol.logstd) * rng.standard_normal((n, 1))
-        actions = pol.squash(raws)[:, 0]
+        actions = squash(raws, pol.lo, pol.hi)[:, 0]
         edges = np.quantile(actions, [0.3, 0.45, 0.55, 0.7])
         for lo, hi in zip(edges[:-1], edges[1:]):
             frac = np.mean((actions >= lo) & (actions < hi))
@@ -69,7 +70,7 @@ class TestSampling:
         mean = forward(pol.actor, state)
         assert raw.shape == action.shape == (GROUP_SIZE, 2)
         assert np.array_equal(logp, pol.log_prob(raw, mean))
-        assert np.array_equal(action, pol.squash(raw))
+        assert np.array_equal(action, squash(raw, pol.lo, pol.hi))
 
 
 class TestGae:
@@ -433,8 +434,10 @@ class TestCheckpoint:
         assert header["critic_sizes"] == []
         assert payload == pol.params.astype("<f8").tobytes()
         x = np.random.default_rng(22).normal(size=6)
-        assert np.array_equal(pol2.deterministic_action(x),
-                              pol.deterministic_action(x))
+        assert np.array_equal(pol2.lo, pol.lo)
+        assert np.array_equal(pol2.hi, pol.hi)
+        assert np.array_equal(squash(forward(pol2.actor, x), pol2.lo, pol2.hi),
+                              squash(forward(pol.actor, x), pol.lo, pol.hi))
 
     def test_critic_file_loads_silently(self, tmp_path, caplog):
         pol = make_policy(obs_dim=5, act_dim=3, seed=23)
