@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Physical and protocol constants of the simulated network.
 
     Defaults reproduce the evaluation setup: 40 APs with 20 antennas each
-    serving 20 users on a 1 km^2 torus at 20 MHz.
+    serving 20 users on a 1 km^2 torus at 20 MHz. Frozen: the checks run
+    at construction, and so on every `dataclasses.replace`.
     """
 
     M: int = 40                 # number of APs
@@ -37,14 +37,7 @@ class SystemConfig:
     se_min: float = 1.0         # QoS floor, bit/s/Hz
     idle_backhaul_power: float = 0.0  # watts drawn by a switched-off AP
 
-    # Deterministic placement hooks for unit tests; None = random placement.
-    ap_positions_override: Optional[np.ndarray] = None
-    user_positions_override: Optional[np.ndarray] = None
-
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.M < 1 or self.K < 1 or self.N < 1:
             raise ValueError("M, K, N must all be >= 1")
         if self.M * self.N <= self.K:
@@ -63,12 +56,6 @@ class SystemConfig:
             raise ValueError("backhaul powers must be >= 0")
         if self.shadow_sigma_db < 0:
             raise ValueError("shadow_sigma_db must be >= 0")
-        for ov, n_expected in ((self.ap_positions_override, self.M),
-                               (self.user_positions_override, self.K)):
-            if ov is not None:
-                ov = np.asarray(ov, dtype=float)
-                if ov.shape != (n_expected, 2):
-                    raise ValueError("position override has wrong shape")
 
 
 def noise_power(cfg: SystemConfig) -> float:

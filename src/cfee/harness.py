@@ -22,38 +22,39 @@ from .nets import init_mlp
 from .ppo import PpoHyper, PpoTrainer, PolicySnapshot, \
     SquashedGaussianPolicy, HIDDEN_SIZES, load_checkpoint, save_checkpoint
 
-SCHEMES = ("proposed", "drl_ao", "drl_ap")
-
-
 # --- scheme definitions ----------------------------------------------------
+
+# The coefficients (0 zeta, 1 kappa, 2 nu) each scheme pins, and their
+# values. A scheme's action vector holds the others, in that order.
+SCHEME_PINS = {"proposed": {}, "drl_ao": {1: 0.0, 2: 1.0}, "drl_ap": {0: 1.0}}
+SCHEMES = tuple(SCHEME_PINS)
+_COEFF_BOUNDS = np.array([ZETA_BOUNDS, KAPPA_BOUNDS, NU_BOUNDS])
+
+
+def _free_coeffs(scheme: str) -> List[int]:
+    if scheme not in SCHEME_PINS:
+        raise ValueError(f"unknown scheme '{scheme}'")
+    return [i for i in range(3) if i not in SCHEME_PINS[scheme]]
+
 
 def scheme_bounds(scheme: str) -> Tuple[np.ndarray, np.ndarray]:
     """Action-box bounds of a scheme's (possibly reduced) action vector."""
-    if scheme == "proposed":
-        lo = [ZETA_BOUNDS[0], KAPPA_BOUNDS[0], NU_BOUNDS[0]]
-        hi = [ZETA_BOUNDS[1], KAPPA_BOUNDS[1], NU_BOUNDS[1]]
-    elif scheme == "drl_ao":   # only zeta is learned; kappa=0, nu=1 pinned
-        lo, hi = [ZETA_BOUNDS[0]], [ZETA_BOUNDS[1]]
-    elif scheme == "drl_ap":   # all APs stay on; kappa and nu are learned
-        lo = [KAPPA_BOUNDS[0], NU_BOUNDS[0]]
-        hi = [KAPPA_BOUNDS[1], NU_BOUNDS[1]]
-    else:
-        raise ValueError(f"unknown scheme '{scheme}'")
-    return np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lo, hi = _COEFF_BOUNDS[_free_coeffs(scheme)].T
+    return lo.copy(), hi.copy()
 
 
 def scheme_coeffs(vecs: np.ndarray, scheme: str) -> np.ndarray:
     """Expand a scheme's action vectors (..., dim) into full (zeta, kappa,
     nu) coefficient arrays (..., 3)."""
+    free = _free_coeffs(scheme)
     vecs = np.asarray(vecs, dtype=float)
-    if scheme == "proposed":
+    if len(free) == 3:
         return vecs
-    ones = np.ones(vecs.shape[:-1])
-    if scheme == "drl_ao":
-        return np.stack([vecs[..., 0], np.zeros_like(ones), ones], axis=-1)
-    if scheme == "drl_ap":
-        return np.stack([ones, vecs[..., 0], vecs[..., 1]], axis=-1)
-    raise ValueError(f"unknown scheme '{scheme}'")
+    coeffs = np.empty(vecs.shape[:-1] + (3,))
+    coeffs[..., free] = vecs
+    for i, value in SCHEME_PINS[scheme].items():
+        coeffs[..., i] = value
+    return coeffs
 
 
 def scheme_action(vec: np.ndarray, scheme: str) -> Action:
@@ -91,10 +92,7 @@ def train_scheme(cfg: SystemConfig, scheme: str, hyper: PpoHyper,
     meta = {
         "scheme": scheme,
         "M": cfg.M, "K": cfg.K, "N": cfg.N,
-        # what evaluation needs; the placement overrides only steer
-        # scenario generation
-        "system": {k: v for k, v in asdict(cfg).items()
-                   if not k.endswith("_override")},
+        "system": asdict(cfg),
         "normalizer": env.normalizer.state_dict(),
         "feature_mode": "db_standardized",
         "episode_length": episode_length,
@@ -191,14 +189,23 @@ def held_out_scenarios(cfg: SystemConfig, n: int,
 # --- grid-search oracle ------------------------------------------------
 
 def parse_grid(spec: str) -> Dict[str, np.ndarray]:
-    """Parse 'z=0.05:1:20,k=0:4:17,n=0:4:17' into coordinate grids."""
+    """Parse 'z=0.05:1:20,k=0:4:17,n=0:4:17' into coordinate grids. A
+    part with an unknown or repeated coordinate, without lo:hi:count or
+    with a count below 1 raises ValueError naming the part."""
     names = {"z": "zeta", "k": "kappa", "n": "nu"}
     grid: Dict[str, np.ndarray] = {}
     for part in spec.split(","):
-        key, rng_spec = part.split("=")
-        lo, hi, count = rng_spec.split(":")
-        grid[names[key.strip()]] = np.linspace(float(lo), float(hi),
-                                               int(count))
+        key, _, rng_spec = part.partition("=")
+        name, fields = names.get(key.strip()), rng_spec.split(":")
+        problem = ("unknown coordinate (use z, k or n)" if name is None
+                   else "repeated coordinate" if name in grid
+                   else "want <key>=lo:hi:count" if len(fields) != 3
+                   else "count must be >= 1" if int(fields[2]) < 1
+                   else None)
+        if problem:
+            raise ValueError(f"--grid part {part!r}: {problem}")
+        grid[name] = np.linspace(float(fields[0]), float(fields[1]),
+                                 int(fields[2]))
     missing = set(names.values()) - set(grid)
     if missing:
         raise ValueError(f"grid missing coordinates: {sorted(missing)}")

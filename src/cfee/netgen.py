@@ -114,16 +114,9 @@ def scenario_from_rng(cfg: SystemConfig, rng: np.random.Generator,
     `ap_positions` fixes the AP layout (used for successive large-scale
     intervals within an episode); user placement and shadowing are redrawn.
     """
-    cfg.validate()
     if ap_positions is None:
-        if cfg.ap_positions_override is not None:
-            ap_positions = np.array(cfg.ap_positions_override, dtype=float)
-        else:
-            ap_positions = rng.uniform(0, cfg.area_side, size=(cfg.M, 2))
-    if cfg.user_positions_override is not None:
-        user_positions = np.array(cfg.user_positions_override, dtype=float)
-    else:
-        user_positions = rng.uniform(0, cfg.area_side, size=(cfg.K, 2))
+        ap_positions = rng.uniform(0, cfg.area_side, size=(cfg.M, 2))
+    user_positions = rng.uniform(0, cfg.area_side, size=(cfg.K, 2))
 
     d = wrap_distance(ap_positions[:, None, :], user_positions[None, :, :],
                       cfg.area_side)

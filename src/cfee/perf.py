@@ -1,5 +1,5 @@
 # Performance evaluation: closed-form spectral efficiency, Monte Carlo
-# SINR oracle, power model, energy efficiency, and feasibility checks.
+# SINR oracle, power model, energy efficiency and QoS shortfall.
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,6 +11,7 @@ from .config import SystemConfig, rho_d, rho_p
 from .netgen import Scenario, pilot_groups
 
 POWER_SLACK_TOL = 1e-9  # relative tolerance on the per-AP power budget
+MC_CHUNK = 4096         # Monte Carlo realizations drawn per chunk
 
 
 @dataclass
@@ -124,22 +125,18 @@ def closed_form_se(sc: Scenario, dec: AllocationDecision,
 
 
 def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
-                 n_realizations: int, seed: int,
-                 antenna_mask: np.ndarray | None = None,
-                 chunk: int = 4096) -> np.ndarray:
+                 n_realizations: int, seed: int) -> np.ndarray:
     """Monte Carlo estimate of per-user SE from simulated channels.
 
     Simulates Rayleigh small-scale fading, pilot reception with additive
     noise, MMSE estimation, and conjugate beamforming, then estimates the
     desired-signal, beamforming-uncertainty, and inter-user interference
-    powers by sample averages. `antenna_mask` (M, N) overrides the default
-    "first N_m antennas active" convention.
+    powers by sample averages. AP m uses its first N_m antennas.
 
-    Each chunk of R realizations draws, in this order, the real and the
-    imaginary part of the channel (R, M, N, K) and of the pilot noise
-    (R, M, N, G), G pilot groups; the estimates depend on the seed and on
-    `chunk`. The rest runs in real arithmetic on the active antennas only,
-    in buffers allocated once per call.
+    Each chunk of R <= MC_CHUNK realizations draws, in this order, the real
+    and the imaginary part of the channel (R, M, N, K) and of the pilot
+    noise (R, M, N, G), G pilot groups. The rest runs in real arithmetic
+    on the active antennas only, in buffers allocated once per call.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -150,17 +147,15 @@ def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
     member = np.zeros((K, n_groups))
     member[np.arange(K), group] = 1.0
 
-    if antenna_mask is None:
-        antenna_mask = (np.arange(N)[None, :] < dec.n_active[:, None])
-    mask = antenna_mask.astype(float)                       # (M, N)
-    if not np.array_equal(mask.sum(axis=1), dec.n_active.astype(float)):
-        raise ValueError("antenna_mask inconsistent with n_active")
+    if np.any((dec.n_active < 0) | (dec.n_active > N)):
+        raise ValueError(f"n_active must lie in 0..N={N}, "
+                         f"got {dec.n_active.tolist()}")
 
     rd, rp = rho_d(cfg), rho_p(cfg)
     tp = cfg.tau_p * rp
     c = np.sqrt(tp) * sc.beta / (tp * (sc.beta @ sc.pilot_xcorr) + 1.0)
     # the A active antennas, m * N + n, and their APs
-    on = np.flatnonzero(mask)
+    on = np.flatnonzero(np.arange(N) < dec.n_active[:, None])
     ap = on // N
     n_on = len(on)
     # The 1/sqrt(2) of each complex Gaussian goes into the scales: the
@@ -172,7 +167,7 @@ def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
     group_sum = member * np.sqrt(2.0 * tp)                  # (K, G)
     d = c[ap] * np.sqrt(dec.eta[ap] / 2.0)                  # (A, K)
 
-    C = min(chunk, n_realizations)
+    C = min(MC_CHUNK, n_realizations)
     draw = np.empty(C * M * N * K)
     picked = np.empty(C * n_on * K)         # the drawn values at `on`
     g = np.empty((C, 2, n_on, K))           # [Re g; Im g]
@@ -186,7 +181,7 @@ def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
     rng = np.random.default_rng(seed)
     done = 0
     while done < n_realizations:
-        R = min(chunk, n_realizations - done)
+        R = min(MC_CHUNK, n_realizations - done)
         done += R
         gR, zR, fR, bR = g[:R], z[:R], f[:, :R], b[:, :R]
         # mode="clip" lets take write straight into `out`; `on` is in range
@@ -240,15 +235,6 @@ def _power(n_active: np.ndarray, load: np.ndarray, se_sum,
     return amp + circuit + backhaul + idle
 
 
-def total_power(dec: AllocationDecision, se_sum: float, sc: Scenario,
-                cfg: SystemConfig) -> float:
-    """Network power draw: amplifiers, circuits, and backhaul."""
-    if se_sum < 0:
-        raise ValueError("se_sum must be >= 0")
-    load = (dec.eta * sc.gamma).sum(axis=1)
-    return float(_power(dec.n_active, load, se_sum, cfg))
-
-
 def energy_efficiency(se_sum, p_total, cfg: SystemConfig):
     """Energy efficiency in bit/J (elementwise on arrays)."""
     if np.any(np.asarray(p_total) <= 0):
@@ -284,39 +270,6 @@ def evaluate(sc: Scenario, dec: AllocationDecision,
         ee_bits_per_joule=float(ee),
         qos_shortfall=np.maximum(0.0, cfg.se_min - se),
     )
-
-
-@dataclass
-class FeasibilityVerdict:
-    qos_ok: np.ndarray        # (K,) bool, se_k >= se_min
-    qos_slack: np.ndarray     # (K,) se_k - se_min
-    power_ok: np.ndarray      # (M,) bool on active APs (True when inactive)
-    power_slack: np.ndarray   # (M,) 1/N_m - sum_k eta gamma (0 for inactive)
-    antenna_ok: bool          # N_m within {0..N}, >= 1 on active APs
-
-    @property
-    def feasible(self) -> bool:
-        return bool(self.qos_ok.all() and self.power_ok.all()
-                    and self.antenna_ok)
-
-
-def check_feasibility(sc: Scenario, dec: AllocationDecision,
-                      cfg: SystemConfig) -> FeasibilityVerdict:
-    """Per-constraint verdicts and slacks for the design problem."""
-    se = closed_form_se(sc, dec, cfg)
-    qos_slack = se - cfg.se_min
-    mask = np.zeros(sc.M, dtype=bool)
-    mask[dec.active] = True
-    load = (dec.eta * sc.gamma).sum(axis=1)
-    budget = 1.0 / np.maximum(dec.n_active, 1)
-    power_slack = np.where(mask, budget - load, 0.0)
-    power_ok = ~mask | (load <= budget * (1 + POWER_SLACK_TOL))
-    antenna_ok = bool(
-        np.all(dec.n_active[mask] >= 1) and np.all(dec.n_active <= cfg.N)
-        and np.all(dec.n_active[~mask] == 0))
-    return FeasibilityVerdict(qos_ok=qos_slack >= 0, qos_slack=qos_slack,
-                              power_ok=power_ok, power_slack=power_slack,
-                              antenna_ok=antenna_ok)
 
 
 REPORT_CSV_HEADER = ("seed,zeta,kappa,nu,n_active_aps,n_antennas,se_sum,"

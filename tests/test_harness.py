@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -10,14 +11,14 @@ import cfee.cli
 import cfee.harness
 from cfee.cli import main
 from cfee.config import SystemConfig
-from cfee.harness import (ENV_TYPES, LoadedPolicy, bench_runtime,
+from cfee.harness import (ENV_TYPES, SCHEMES, LoadedPolicy, bench_runtime,
                           default_grid, evaluate_policy, grid_oracle,
                           grid_oracle_one, held_out_scenarios,
                           latency_growth_exponent, load_config, load_policy,
                           parse_grid, policy_action, policy_features,
                           scheme_action, scheme_bounds, scheme_coeffs,
                           sweep_pbt, train_scheme, validate_se)
-from cfee.alloc import Action, realize
+from cfee.alloc import Action, KAPPA_BOUNDS, NU_BOUNDS, ZETA_BOUNDS, realize
 from cfee.env import CellFreeEnv, batch_rewards
 from cfee.netgen import Scenario, generate_scenario, save_scenario
 from cfee.perf import evaluate
@@ -80,6 +81,30 @@ class TestSchemes:
         with pytest.raises(ValueError):
             scheme_coeffs(vecs, "nope")
 
+    def test_table_matches_hand_expansions(self):
+        # the per-scheme expansions the table replaced, written out
+        z, k, n = ZETA_BOUNDS, KAPPA_BOUNDS, NU_BOUNDS
+        bounds = {"proposed": ([z[0], k[0], n[0]], [z[1], k[1], n[1]]),
+                  "drl_ao": ([z[0]], [z[1]]),
+                  "drl_ap": ([k[0], n[0]], [k[1], n[1]])}
+        expand = {
+            "proposed": lambda v, ones: v,
+            "drl_ao": lambda v, ones: np.stack([v[..., 0], 0 * ones, ones],
+                                               axis=-1),
+            "drl_ap": lambda v, ones: np.stack([ones, v[..., 0], v[..., 1]],
+                                               axis=-1)}
+        assert SCHEMES == tuple(bounds)
+        rng = np.random.default_rng(1)
+        for scheme, (lo, hi) in bounds.items():
+            got_lo, got_hi = scheme_bounds(scheme)
+            assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+            for shape in ((len(lo),), (4, len(lo)), (2, 3, len(lo))):
+                v = rng.uniform(lo, hi, size=shape)
+                want = expand[scheme](v, np.ones(shape[:-1]))
+                assert np.array_equal(scheme_coeffs(v, scheme), want)
+        with pytest.raises(ValueError, match="unknown scheme 'nope'"):
+            scheme_bounds("nope")
+
     def test_drl_ap_keeps_all_aps(self, cfg):
         sc = generate_scenario(cfg, 0)
         a = scheme_action(np.array([2.0, 0.5]), "drl_ap")
@@ -114,6 +139,23 @@ class TestGridParsing:
     def test_missing_axis_rejected(self):
         with pytest.raises(ValueError):
             parse_grid("z=0:1:5")
+
+    @pytest.mark.parametrize("spec, part, problem", [
+        ("x=0:1:3,k=0:4:3,n=0:4:3", "x=0:1:3", "unknown coordinate"),
+        ("z=0.1:1,k=0:4:3,n=0:4:3", "z=0.1:1", "want <key>=lo:hi:count"),
+        ("z=0.1:1:0,k=0:4:3,n=0:4:3", "z=0.1:1:0", "count must be >= 1"),
+        ("z=0.1:1:3,k=0:4:3,n=0:4:3,z=0.2:1:4", "z=0.2:1:4",
+         "repeated coordinate")],
+        ids=["unknown", "missing_field", "zero_count", "repeated"])
+    def test_bad_part_named(self, tmp_path, capsys, spec, part, problem):
+        message = f"--grid part '{part}': {problem}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_grid(spec)
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle", "--grid", spec, "--scenarios", "1",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_grid_covers_bounds(self):
         grid = default_grid()
@@ -366,14 +408,12 @@ class TestFloat32Inference:
 
 
 class TestDominantApGeometry:
-    def test_oracle_shuts_down_remote_aps(self):
+    def test_oracle_shuts_down_remote_aps(self, placed_scenario):
         # one AP next to every user, the rest far away: small zeta wins
         cfg = SystemConfig(M=4, K=2, N=4, tau_p=2, shadow_sigma_db=0.0)
-        cfg.ap_positions_override = np.array(
-            [[500.0, 500.0], [10.0, 10.0], [990.0, 10.0], [10.0, 990.0]])
-        cfg.user_positions_override = np.array(
+        sc = placed_scenario(
+            cfg, [[500.0, 500.0], [10.0, 10.0], [990.0, 10.0], [10.0, 990.0]],
             [[495.0, 500.0], [505.0, 500.0]])
-        sc = generate_scenario(cfg, 0)
         grid = default_grid(8, 3, 3)
         res = grid_oracle_one(sc, grid, cfg)
         dec = realize(res.action, sc, cfg)
@@ -473,6 +513,11 @@ class TestLoadConfig:
         ("env: {feature_mode: raw}\n", "feature_mode"),
         ("env: {penalty_coefficient: 1.0}\n", "penalty_coefficient"),
         ("env: {idle_backhaul_power: 0.5}\n", "idle_backhaul_power"),
+        ("system: {M: 2, K: 1, N: 2, tau_p: 1, "
+         "ap_positions_override: [[0, 0], [5, 5]]}\n",
+         "ap_positions_override"),
+        ("system: {user_positions_override: [[0, 0]]}\n",
+         "user_positions_override"),
     ])
     def test_unknown_key_named(self, tmp_path, text, key):
         p = tmp_path / "unknown.yaml"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,12 +153,10 @@ class TestGenerateScenario:
         assert np.all(sc.beta > 0)
         assert sc.pilot_xcorr.shape == (20, 20)
 
-    def test_forced_placement_beta(self):
+    def test_forced_placement_beta(self, placed_scenario):
         # AP on top of the user, no shadowing: beta is the near-field value
-        cfg = SystemConfig(M=1, K=1, N=2, shadow_sigma_db=0.0, tau_p=1,
-                           ap_positions_override=np.array([[100.0, 100.0]]),
-                           user_positions_override=np.array([[100.0, 100.0]]))
-        sc = generate_scenario(cfg, 0)
+        cfg = SystemConfig(M=1, K=1, N=2, shadow_sigma_db=0.0, tau_p=1)
+        sc = placed_scenario(cfg, [[100.0, 100.0]], [[100.0, 100.0]])
         expected = 10 ** (path_loss_db(0.0, cfg) / 10)
         assert sc.beta[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -167,6 +167,19 @@ class TestGenerateScenario:
             SystemConfig(M=2, K=5, N=2)  # M*N <= K
         with pytest.raises(ValueError):
             SystemConfig(tau_p=300, tau_c=200)
+
+    def test_config_is_frozen(self):
+        cfg = SystemConfig(M=2, K=1, N=2, tau_p=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.M = 0
+        assert cfg.M == 2
+
+    def test_replace_checks_again(self):
+        cfg = SystemConfig(M=2, K=1, N=2, tau_p=1)
+        with pytest.raises(ValueError, match="M, K, N must all be >= 1"):
+            dataclasses.replace(cfg, M=0)
+        with pytest.raises(ValueError, match="M\\*N > K"):
+            dataclasses.replace(cfg, K=4)
 
 
 class TestScenarioBundle:

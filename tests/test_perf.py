@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,9 @@ from cfee.alloc import Action, realize, realize_batch
 from cfee.config import SystemConfig, noise_power, rho_d, rho_p
 from cfee.env import batch_rewards
 from cfee.netgen import Scenario, generate_scenario, pilot_groups
-from cfee.perf import (AllocationDecision, check_feasibility, closed_form_se,
+from cfee.perf import (MC_CHUNK, AllocationDecision, closed_form_se,
                        energy_efficiency, evaluate, evaluate_batch,
-                       mc_se_oracle, prelog, total_power)
+                       mc_se_oracle, prelog)
 
 
 def full_power_decision(sc, cfg, n_active=None):
@@ -47,11 +50,9 @@ class TestClosedFormSe:
                                  eta=np.zeros((3, 2)))
         assert np.all(closed_form_se(sc, dec, cfg) == 0)
 
-    def test_single_link_hand_formula(self):
-        cfg = SystemConfig(M=1, K=1, N=2, tau_p=1,
-                           ap_positions_override=np.array([[10.0, 10.0]]),
-                           user_positions_override=np.array([[40.0, 10.0]]))
-        sc = generate_scenario(cfg, 1)
+    def test_single_link_hand_formula(self, placed_scenario):
+        cfg = SystemConfig(M=1, K=1, N=2, tau_p=1)
+        sc = placed_scenario(cfg, [[10.0, 10.0]], [[40.0, 10.0]], seed=1)
         nm, eta_val = 2, 1.0 / (2 * sc.gamma[0, 0])
         dec = AllocationDecision(active=np.array([0]),
                                  n_active=np.array([nm]),
@@ -135,18 +136,15 @@ class TestMcOracle:
         se_no = closed_form_se(sc_no, dec, cfg)
         assert np.all(se_no > se_mc * 1.1)
 
-    def test_antenna_indices_irrelevant(self):
+    def test_rejects_antenna_count_outside_0_to_n(self):
         cfg = SystemConfig(M=2, K=2, N=4, tau_p=2)
         sc = generate_scenario(cfg, 7)
-        n_active = np.array([2, 3])
-        dec = full_power_decision(sc, cfg, n_active=n_active)
-        se_first = mc_se_oracle(sc, dec, cfg, 50_000, seed=3)
-        mask = np.zeros((2, 4))
-        mask[0, [1, 3]] = 1  # same counts, different indices
-        mask[1, [0, 2, 3]] = 1
-        se_perm = mc_se_oracle(sc, dec, cfg, 50_000, seed=4,
-                               antenna_mask=mask)
-        assert np.all(np.abs(se_perm - se_first) / se_first < 0.05)
+        for bad in ([5, 2], [2, -1]):
+            dec = full_power_decision(sc, cfg, n_active=np.array([2, 3]))
+            dec.n_active = np.array(bad)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n_active must lie in 0..N=4, got {bad}")):
+                mc_se_oracle(sc, dec, cfg, 100, seed=0)
 
     def test_variance_shrinks_with_realizations(self):
         cfg = SystemConfig(M=2, K=1, N=2, tau_p=1)
@@ -161,19 +159,16 @@ class TestMcOracle:
 
 # --- the Monte Carlo kernel against its complex-arithmetic reference ------
 
-def reference_mc(sc, dec, cfg, n_realizations, seed, antenna_mask=None,
-                 chunk=4096):
+def reference_mc(sc, dec, cfg, n_realizations, seed):
     """Monte Carlo SE in complex arithmetic on every antenna, with the
-    kernel's draws (the same calls, sizes and order per chunk), kept as
-    the reference."""
+    kernel's draws (the same calls, sizes and order per chunk of
+    MC_CHUNK), kept as the reference."""
     M, K, N = sc.M, sc.K, cfg.N
     group = pilot_groups(sc.pilot_xcorr)
     n_groups = group.max() + 1
     member = np.zeros((K, n_groups))
     member[np.arange(K), group] = 1.0
-    if antenna_mask is None:
-        antenna_mask = (np.arange(N)[None, :] < dec.n_active[:, None])
-    mask = antenna_mask.astype(float)
+    mask = (np.arange(N)[None, :] < dec.n_active[:, None]).astype(float)
     rd, rp = rho_d(cfg), rho_p(cfg)
     tp = cfg.tau_p * rp
     c = np.sqrt(tp) * sc.beta / (tp * (sc.beta @ sc.pilot_xcorr) + 1.0)
@@ -186,7 +181,7 @@ def reference_mc(sc, dec, cfg, n_realizations, seed, antenna_mask=None,
     sum_b2 = np.zeros((K, K))
     done = 0
     while done < n_realizations:
-        R = min(chunk, n_realizations - done)
+        R = min(MC_CHUNK, n_realizations - done)
         done += R
         h = (rng.standard_normal((R, M, N, K))
              + 1j * rng.standard_normal((R, M, N, K))) / np.sqrt(2.0)
@@ -215,28 +210,27 @@ def reference_mc(sc, dec, cfg, n_realizations, seed, antenna_mask=None,
 
 
 class TestMcKernel:
-    PERMUTED = np.array([[0, 1, 0, 1], [1, 0, 1, 1], [0, 0, 1, 0]])
-
-    # (system, antenna counts, antenna mask, realizations); every case
-    # draws with the default chunk, on both sides
-    @pytest.mark.parametrize("cfg, n_active, mask, n_real", [
-        (SystemConfig(M=3, K=3, N=4, tau_p=3), [4, 2, 3], None, 3000),
-        (SystemConfig(M=3, K=3, N=3, tau_p=1), [3, 1, 2], None, 3000),
-        (SystemConfig(M=3, K=3, N=4, tau_p=2), [2, 3, 1], PERMUTED, 3000),
-        (SystemConfig(M=3, K=2, N=3, tau_p=1), [2, 0, 3], None, 3000),
-        (SystemConfig(M=2, K=3, N=2, tau_p=2), [2, 1], None, 10_123)],
-        ids=["orthogonal_pilots", "one_shared_pilot", "permuted_mask",
+    # (system, antenna counts, realizations)
+    @pytest.mark.parametrize("cfg, n_active, n_real", [
+        (SystemConfig(M=3, K=3, N=4, tau_p=3), [4, 2, 3], 3000),
+        (SystemConfig(M=3, K=3, N=3, tau_p=1), [3, 1, 2], 3000),
+        (SystemConfig(M=3, K=2, N=3, tau_p=1), [2, 0, 3], 3000),
+        (SystemConfig(M=2, K=3, N=2, tau_p=2), [2, 1], 10_123)],
+        ids=["orthogonal_pilots", "one_shared_pilot",
              "ap_without_antennas", "partial_last_chunk"])
-    def test_matches_complex_reference(self, cfg, n_active, mask, n_real):
+    def test_matches_complex_reference(self, cfg, n_active, n_real):
         sc = generate_scenario(cfg, 41)
         dec = full_power_decision(sc, cfg, np.array(n_active))
-        se = mc_se_oracle(sc, dec, cfg, n_real, seed=9, antenna_mask=mask)
-        ref = reference_mc(sc, dec, cfg, n_real, seed=9, antenna_mask=mask)
+        se = mc_se_oracle(sc, dec, cfg, n_real, seed=9)
+        ref = reference_mc(sc, dec, cfg, n_real, seed=9)
         assert np.all(ref > 0)
         assert np.all(np.abs(se - ref) <= 1e-12 * ref)
 
 
 class TestTotalPower:
+    """The power draw `evaluate` reports; the traffic term comes from the
+    report's own sum SE."""
+
     def setup_method(self):
         self.cfg = SystemConfig(M=2, K=2, N=20, tau_p=2)
         beta = np.array([[1e-8, 1e-8], [1e-9, 1e-9]])
@@ -250,51 +244,58 @@ class TestTotalPower:
         return AllocationDecision(active=np.array([0]),
                                   n_active=np.array([nm, 0]), eta=eta)
 
+    @staticmethod
+    def traffic(rep, cfg, n_on=1):
+        # bandwidth * sum SE in Gbit/s, at P_bt per active AP
+        return (n_on * cfg.bandwidth_hz * rep.se_sum / 1e9
+                * cfg.p_bt_watts_per_gbps)
+
     def test_amplifier_term(self):
         # full power, alpha = 0.4, rho_d * N0 = 1 W -> 2.5 W amplifier draw
-        dec = self.one_ap_decision(4)
-        p = total_power(dec, 0.0, self.sc, self.cfg)
+        rep = evaluate(self.sc, self.one_ap_decision(4), self.cfg)
         circuit_fixed = 4 * 0.2 + 0.825
-        assert p == pytest.approx(2.5 + circuit_fixed, rel=1e-9)
+        assert rep.se_sum > 0
+        assert rep.p_total_watts == pytest.approx(
+            2.5 + circuit_fixed + self.traffic(rep, self.cfg), rel=1e-9)
 
     def test_zero_traffic_hand_value(self):
-        dec = self.one_ap_decision(20)
-        p = total_power(dec, 0.0, self.sc, self.cfg)
-        assert p == pytest.approx(2.5 + 20 * 0.2 + 0.825, rel=1e-9)
+        cfg = replace(self.cfg, p_bt_watts_per_gbps=0.0)
+        rep = evaluate(self.sc, self.one_ap_decision(20), cfg)
+        assert rep.p_total_watts == pytest.approx(2.5 + 20 * 0.2 + 0.825,
+                                                  rel=1e-9)
 
     def test_traffic_term(self):
         dec = self.one_ap_decision(20)
-        se_sum = 10.0  # 20 MHz * 10 b/s/Hz = 0.2 Gbit/s -> 0.05 W at 0.25
-        p0 = total_power(dec, 0.0, self.sc, self.cfg)
-        p1 = total_power(dec, se_sum, self.sc, self.cfg)
-        assert p1 - p0 == pytest.approx(0.2 * 0.25, rel=1e-9)
+        rep = evaluate(self.sc, dec, self.cfg)
+        rep0 = evaluate(self.sc, dec,
+                        replace(self.cfg, p_bt_watts_per_gbps=0.0))
+        assert rep.se_sum == rep0.se_sum > 0
+        assert rep.p_total_watts - rep0.p_total_watts == pytest.approx(
+            self.traffic(rep, self.cfg), rel=1e-9)
 
     def test_additive_over_disjoint_sets(self):
         cfg = SystemConfig(M=4, K=2, N=6, tau_p=2)
         sc = generate_scenario(cfg, 9)
         dec = full_power_decision(sc, cfg)
-        total = total_power(dec, 3.0, sc, cfg)
+        rep = evaluate(sc, dec, cfg)
+        total = rep.p_total_watts - self.traffic(rep, cfg, n_on=4)
         parts = 0.0
         for ms in ([0, 1], [2, 3]):
             eta = np.zeros_like(dec.eta)
             eta[ms] = dec.eta[ms]
             n = np.zeros(4, dtype=int)
             n[ms] = dec.n_active[ms]
-            part = AllocationDecision(active=np.array(ms), n_active=n,
-                                      eta=eta)
-            parts += total_power(part, 3.0, sc, cfg)
+            part = evaluate(sc, AllocationDecision(
+                active=np.array(ms), n_active=n, eta=eta), cfg)
+            parts += part.p_total_watts - self.traffic(part, cfg, n_on=2)
         assert parts == pytest.approx(total, rel=1e-12)
 
     def test_idle_backhaul_configurable(self):
         cfg = SystemConfig(M=2, K=2, N=20, tau_p=2, idle_backhaul_power=0.5)
         dec = self.one_ap_decision(20)
-        p_off = total_power(dec, 0.0, self.sc, self.cfg)
-        p_idle = total_power(dec, 0.0, self.sc, cfg)
+        p_off = evaluate(self.sc, dec, self.cfg).p_total_watts
+        p_idle = evaluate(self.sc, dec, cfg).p_total_watts
         assert p_idle - p_off == pytest.approx(0.5)
-
-    def test_rejects_negative_traffic(self):
-        with pytest.raises(ValueError):
-            total_power(self.one_ap_decision(2), -1.0, self.sc, self.cfg)
 
 
 class TestEnergyEfficiency:
@@ -319,33 +320,37 @@ class TestEnergyEfficiency:
 
 
 class TestFeasibility:
+    """`AllocationDecision.validate` checks a decision's power and antenna
+    constraints; `evaluate`'s QoS shortfall reports the QoS ones."""
+
     def test_fractional_allocation_zero_slack(self):
         cfg = SystemConfig(M=4, K=3, N=5, tau_p=3)
         sc = generate_scenario(cfg, 11)
         dec = realize(Action(0.5, 1.0, 1.5), sc, cfg)
-        v = check_feasibility(sc, dec, cfg)
-        assert np.all(np.abs(v.power_slack[dec.active])
-                      * dec.n_active[dec.active] <= 1e-12)
-        assert v.power_ok.all() and v.antenna_ok
+        dec.validate(sc.gamma, cfg.N)
+        on = dec.active
+        load = (dec.eta[on] * sc.gamma[on]).sum(axis=1)
+        # power slack 1/N_m - load, scaled by N_m
+        assert np.all(np.abs(1.0 - dec.n_active[on] * load) <= 1e-12)
 
     def test_overdrive_violates(self):
         cfg = SystemConfig(M=4, K=3, N=5, tau_p=3)
         sc = generate_scenario(cfg, 12)
         dec = realize(Action(1.0, 0.0, 1.0), sc, cfg)
+        dec.validate(sc.gamma, cfg.N)
         dec.eta *= 1.01
-        v = check_feasibility(sc, dec, cfg)
-        assert not v.power_ok[dec.active].all()
-        assert not v.feasible
+        with pytest.raises(ValueError, match="per-AP power budget exceeded"):
+            dec.validate(sc.gamma, cfg.N)
 
     def test_qos_boundary_feasible(self):
         cfg = SystemConfig(M=3, K=2, N=4, tau_p=2)
         sc = generate_scenario(cfg, 13)
         dec = realize(Action(1.0, 0.0, 1.0), sc, cfg)
         se = closed_form_se(sc, dec, cfg)
-        cfg_b = SystemConfig(M=3, K=2, N=4, tau_p=2,
-                             se_min=float(se.min()))
-        v = check_feasibility(sc, dec, cfg_b)
-        assert v.qos_ok.all()
+        cfg_b = replace(cfg, se_min=float(se.min()))
+        assert np.all(evaluate(sc, dec, cfg_b).qos_shortfall == 0)
+        above = evaluate(sc, dec, replace(cfg_b, se_min=cfg_b.se_min * 1.01))
+        assert np.array_equal(above.qos_shortfall > 0, se == se.min())
 
 
 # --- the per-decision reference and the batched evaluation ----------------
