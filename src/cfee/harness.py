@@ -17,7 +17,7 @@ from .env import CellFreeEnv, FeatureNormalizer, beta_features, \
     batch_rewards, DEFAULT_EPISODE_LENGTH, DEFAULT_PENALTY
 from .netgen import Scenario, generate_scenario
 from .perf import AllocationDecision, PerfReport, closed_form_se, evaluate, \
-    evaluate_batch, mc_se_oracle
+    evaluate_rows, mc_se_oracle, row_terms
 from .nets import init_mlp
 from .ppo import PpoHyper, PpoTrainer, PolicySnapshot, \
     SquashedGaussianPolicy, HIDDEN_SIZES, load_checkpoint, save_checkpoint
@@ -190,22 +190,28 @@ def held_out_scenarios(cfg: SystemConfig, n: int,
 
 def parse_grid(spec: str) -> Dict[str, np.ndarray]:
     """Parse 'z=0.05:1:20,k=0:4:17,n=0:4:17' into coordinate grids. A
-    part with an unknown or repeated coordinate, without lo:hi:count or
-    with a count below 1 raises ValueError naming the part."""
+    part with an unknown or repeated coordinate, without lo:hi:count, with
+    a bound that is not a number or a count that is not an integer of at
+    least 1 raises ValueError naming the part."""
     names = {"z": "zeta", "k": "kappa", "n": "nu"}
     grid: Dict[str, np.ndarray] = {}
     for part in spec.split(","):
         key, _, rng_spec = part.partition("=")
         name, fields = names.get(key.strip()), rng_spec.split(":")
+        try:
+            lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
+        except (ValueError, IndexError):
+            count = None
         problem = ("unknown coordinate (use z, k or n)" if name is None
                    else "repeated coordinate" if name in grid
                    else "want <key>=lo:hi:count" if len(fields) != 3
-                   else "count must be >= 1" if int(fields[2]) < 1
+                   else "want numbers lo:hi and an integer count"
+                   if count is None
+                   else "count must be >= 1" if count < 1
                    else None)
         if problem:
             raise ValueError(f"--grid part {part!r}: {problem}")
-        grid[name] = np.linspace(float(fields[0]), float(fields[1]),
-                                 int(fields[2]))
+        grid[name] = np.linspace(lo, hi, count)
     missing = set(names.values()) - set(grid)
     if missing:
         raise ValueError(f"grid missing coordinates: {sorted(missing)}")
@@ -239,7 +245,10 @@ def grid_oracle_one(sc: Scenario, grid: Dict[str, np.ndarray],
     (`alloc.activation`), a subset of those on at the largest, and their
     antenna counts and powers do not depend on which other APs are on. So
     that realization, cut to those APs, equals `realize_batch` at the
-    zeta bit for bit.
+    zeta bit for bit. Its per-AP closed-form terms (`perf.row_terms`) are
+    built once too; each zeta only sums the rows it switches on
+    (`perf.evaluate_rows`), which equals `evaluate_batch` of the cut
+    realization bit for bit.
 
     Ties break toward the lexicographically smallest (zeta, kappa, nu):
     batches run in zeta order, rows in (kappa, nu) order, and only a
@@ -251,13 +260,13 @@ def grid_oracle_one(sc: Scenario, grid: Dict[str, np.ndarray],
     rank, n_on = activation(ap_scores(sc.beta), zetas)
     actions = np.column_stack([np.full(len(kappa), zetas.max()), kappa, nu])
     rows, n_active, eta = realize_batch(actions, sc, cfg)
+    terms = row_terms(sc, rows, n_active, eta, cfg)
+    del eta   # the row terms hold all that is needed of the powers
     best_action, best_reward = None, None
     for zeta, n in zip(zetas, n_on):
         on = rank < n
-        sel = on[rows]
-        # the powers' slice is a copy, freed before the next zeta's
-        _, _, ee, shortfall = evaluate_batch(
-            sc, rows[sel], np.where(on, n_active, 0), eta[:, sel], cfg)
+        _, _, ee, shortfall = evaluate_rows(
+            sc, terms, on[rows], np.where(on, n_active, 0), cfg)
         rewards = batch_rewards(ee, shortfall, penalty)
         i = int(np.argmax(rewards))
         if best_reward is None or rewards[i] > best_reward:

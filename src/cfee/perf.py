@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -66,62 +66,79 @@ def _check_eta(eta: np.ndarray):
         raise ValueError("eta must be finite and nonnegative")
 
 
-def _se_and_load(sc: Scenario, rows: np.ndarray, n_active: np.ndarray,
-                 eta: np.ndarray, cfg: SystemConfig
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-user spectral efficiency (..., K) from the closed-form SINR, and
-    the per-AP load sum_k eta_mk gamma_mk (..., M), of allocations of one
-    scenario: antenna counts (..., M) and powers (..., R, K) on the APs
-    `rows` (R,), in index order, with one leading batch axis or none. APs
-    outside `rows` carry no power. Sums over APs add row by row, so a row
-    of zero power in `rows` changes no bit.
+class RowTerms(NamedTuple):
+    """The closed form's per-AP terms (see `row_terms`)."""
 
-    The coherent-interference term carries the pilot cross-correlation
-    factor; with orthogonal pilots it vanishes for all pairs.
-    """
+    rows: np.ndarray        # (R,) AP indices
+    amp: np.ndarray         # (..., R, K) N_m sqrt(eta_mk) gamma_mk
+    amp_by_beta: Optional[np.ndarray]  # amp / beta_mk if pilots are shared
+    nc: np.ndarray          # (..., R, K) beta_mk N_m load_m
+    load: np.ndarray        # (..., R) load_m = sum_k eta_mk gamma_mk
+
+
+def row_terms(sc: Scenario, rows: np.ndarray, n_active: np.ndarray,
+              eta: np.ndarray, cfg: SystemConfig) -> RowTerms:
+    """The row-local half of the closed form of allocations of one
+    scenario: antenna counts (..., M) and powers (..., R, K) on the APs
+    `rows` (R,), in index order, with one leading batch axis or none. A row
+    depends only on its AP's antenna count and powers, not on which other
+    APs are on; `evaluate_rows` sums the rows."""
     gamma, beta = sc.gamma[rows], sc.beta[rows]
     _check_eta(eta)
     n = n_active[..., rows].astype(float)[..., None]  # (..., R, 1)
-    rd = rho_d(cfg)
+    amp = np.sqrt(eta)
+    amp *= n
+    amp *= gamma
+    nc = np.multiply(eta, gamma)
+    load = nc.sum(axis=-1)
+    np.multiply(beta, n * load[..., None], out=nc)
+    xcorr = sc.pilot_xcorr
+    shared = np.count_nonzero(xcorr) > np.count_nonzero(np.diagonal(xcorr))
+    return RowTerms(rows, amp, amp / beta if shared else None, nc, load)
 
+
+def evaluate_rows(sc: Scenario, terms: RowTerms, sel, n_active: np.ndarray,
+                  cfg: SystemConfig):
+    """The reduction half of the closed form: allocations that switch on
+    the rows `sel` (a mask or slice of `terms.rows`) alone, antenna counts
+    (..., M) zero off them, scored as `evaluate_batch` scores them. Sums
+    over APs add row by row, so a row of zero power changes no bit. The
+    coherent-interference term carries the pilot cross-correlation factor;
+    with orthogonal pilots it vanishes for all pairs."""
+    rd = rho_d(cfg)
     # desired signal: rho_d * (sum_m sqrt(eta_mk) N_m gamma_mk)^2
-    t = np.sqrt(eta)
-    t *= n
-    t *= gamma
-    num = rd * t.sum(axis=-2) ** 2
+    num = rd * terms.amp[..., sel, :].sum(axis=-2) ** 2
 
     # coherent interference: rho_d * sum_{j != k} xcorr[j,k] *
     #   (sum_m N_m sqrt(eta_mj) gamma_mj beta_mk / beta_mj)^2,
     # zero unless some users share a pilot
-    xcorr = sc.pilot_xcorr
     t_coh = 0.0
-    if np.count_nonzero(xcorr) > np.count_nonzero(np.diagonal(xcorr)):
-        t /= beta                                    # C, indexed by j
-        coh = np.matmul(np.swapaxes(t, -1, -2), beta)   # (..., K_j, K_k)
+    if terms.amp_by_beta is not None:
+        coh = np.matmul(np.swapaxes(terms.amp_by_beta[..., sel, :], -1, -2),
+                        sc.beta[terms.rows[sel]])   # (..., K_j, K_k)
         np.square(coh, out=coh)
+        xcorr = sc.pilot_xcorr
         coh *= xcorr - np.diag(np.diagonal(xcorr))   # j != k only
         t_coh = rd * coh.sum(axis=-2)
 
     # non-coherent interference + beamforming uncertainty
-    np.multiply(eta, gamma, out=t)
-    load_rows = t.sum(axis=-1)                       # (..., R)
-    np.multiply(beta, n * load_rows[..., None], out=t)
-    t_nc = rd * t.sum(axis=-2)
-
-    sinr = num / (t_coh + t_nc + 1.0)
+    t_nc = rd * terms.nc[..., sel, :].sum(axis=-2)
+    se = prelog(cfg) * np.log2(1.0 + num / (t_coh + t_nc + 1.0))
+    se_sum = se.sum(axis=-1)
     # `_power` sums the load over all M APs: a pairwise sum, whose bits
     # depend on the zeros it holds
     load = np.zeros(n_active.shape)
-    load[..., rows] = load_rows
-    return prelog(cfg) * np.log2(1.0 + sinr), load
+    load[..., terms.rows[sel]] = terms.load[..., sel]
+    p_total = _power(n_active, load, se_sum, cfg)
+    return (se, p_total, energy_efficiency(se_sum, p_total, cfg),
+            np.maximum(0.0, cfg.se_min - se).sum(axis=-1))
 
 
 def closed_form_se(sc: Scenario, dec: AllocationDecision,
                    cfg: SystemConfig) -> np.ndarray:
     """Per-user spectral efficiency of one decision from the closed-form
-    SINR (see `_se_and_load`)."""
-    return _se_and_load(sc, dec.active, dec.n_active, dec.eta[dec.active],
-                        cfg)[0]
+    SINR (see `evaluate_rows`)."""
+    return evaluate(sc, dec, cfg).se_per_user
 
 
 def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
@@ -251,11 +268,8 @@ def evaluate_batch(sc: Scenario, rows: np.ndarray, n_active: np.ndarray,
     the QoS shortfall sum_k max(0, se_min - se_k), each (B,). Row b equals
     `evaluate` of decision b bit for bit; without the batch axis, every
     output loses its first axis."""
-    se, load = _se_and_load(sc, rows, n_active, eta, cfg)
-    se_sum = se.sum(axis=-1)
-    p_total = _power(n_active, load, se_sum, cfg)
-    return (se, p_total, energy_efficiency(se_sum, p_total, cfg),
-            np.maximum(0.0, cfg.se_min - se).sum(axis=-1))
+    return evaluate_rows(sc, row_terms(sc, rows, n_active, eta, cfg),
+                         slice(None), n_active, cfg)
 
 
 def evaluate(sc: Scenario, dec: AllocationDecision,

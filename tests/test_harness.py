@@ -145,8 +145,13 @@ class TestGridParsing:
         ("z=0.1:1,k=0:4:3,n=0:4:3", "z=0.1:1", "want <key>=lo:hi:count"),
         ("z=0.1:1:0,k=0:4:3,n=0:4:3", "z=0.1:1:0", "count must be >= 1"),
         ("z=0.1:1:3,k=0:4:3,n=0:4:3,z=0.2:1:4", "z=0.2:1:4",
-         "repeated coordinate")],
-        ids=["unknown", "missing_field", "zero_count", "repeated"])
+         "repeated coordinate"),
+        ("z=0:1:2.5,k=0:4:3,n=0:4:3", "z=0:1:2.5",
+         "want numbers lo:hi and an integer count"),
+        ("z=a:1:2,k=0:4:3,n=0:4:3", "z=a:1:2",
+         "want numbers lo:hi and an integer count")],
+        ids=["unknown", "missing_field", "zero_count", "repeated",
+             "fractional_count", "non_numeric_bound"])
     def test_bad_part_named(self, tmp_path, capsys, spec, part, problem):
         message = f"--grid part '{part}': {problem}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -251,6 +256,14 @@ class TestGridOracle:
         assert res.action == action
         assert struct.pack("<d", res.reward) == struct.pack("<d", reward)
 
+    @pytest.mark.parametrize("tau_p", [20, 7], ids=["orthogonal", "shared"])
+    def test_matches_one_action_at_a_time_benchmark_grid(self, tau_p):
+        # the benchmark's 20 x 17 x 17 grid at the paper's scale, where
+        # each zeta sums its own rows of the row terms
+        full = SystemConfig(M=40, K=20, N=20, tau_p=tau_p)
+        sc = held_out_scenarios(full, 1, seed=9)[0]
+        self.assert_brute_force(sc, default_grid(20, 17, 17), full)
+
     def test_matches_one_action_at_a_time_shared_pilots(self):
         # two users per pilot: the coherent term sums over the rows each
         # zeta keeps of the largest zeta's realization
@@ -290,6 +303,27 @@ class TestGridOracle:
         grid_oracle(held_out_scenarios(cfg, 3, seed=8), default_grid(5, 4, 3),
                     cfg)
         assert calls == [12, 12, 12]
+
+    def test_builds_row_terms_once_per_scenario(self, cfg, monkeypatch):
+        built, reduced = [], []
+        row_terms, evaluate_rows = (cfee.harness.row_terms,
+                                    cfee.harness.evaluate_rows)
+
+        def counting_terms(sc, rows, n_active, eta, cfg_):
+            built.append(eta.shape[0])
+            return row_terms(sc, rows, n_active, eta, cfg_)
+
+        def counting_reductions(sc, terms, sel, n_active, cfg_):
+            reduced.append(n_active.shape[0])
+            return evaluate_rows(sc, terms, sel, n_active, cfg_)
+
+        monkeypatch.setattr(cfee.harness, "row_terms", counting_terms)
+        monkeypatch.setattr(cfee.harness, "evaluate_rows",
+                            counting_reductions)
+        grid_oracle(held_out_scenarios(cfg, 3, seed=8), default_grid(5, 4, 3),
+                    cfg)
+        assert built == [12, 12, 12]
+        assert reduced == [12] * 15
 
 
 class TestTrainEval:

@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfee.alloc import Action, realize, realize_batch
+from cfee.alloc import Action, activation, ap_scores, realize, realize_batch
 from cfee.config import SystemConfig, noise_power, rho_d, rho_p
 from cfee.env import batch_rewards
 from cfee.netgen import Scenario, generate_scenario, pilot_groups
 from cfee.perf import (MC_CHUNK, AllocationDecision, closed_form_se,
                        energy_efficiency, evaluate, evaluate_batch,
-                       mc_se_oracle, prelog)
+                       evaluate_rows, mc_se_oracle, prelog, row_terms)
 
 
 def full_power_decision(sc, cfg, n_active=None):
@@ -387,15 +387,18 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+BATCH_CONFIGS = pytest.mark.parametrize("cfg", [
+    SystemConfig(M=10, K=5, N=8, tau_p=5),
+    SystemConfig(M=40, K=20, N=20, tau_p=20),
+    SystemConfig(M=10, K=6, N=8, tau_p=2),
+    SystemConfig(M=40, K=20, N=20, tau_p=7),
+    SystemConfig(M=4, K=3, N=2, tau_p=1, idle_backhaul_power=0.3)],
+    ids=["desk", "full", "shared_pilots", "full_shared_pilots",
+         "one_pilot_idle_power"])
+
+
 class TestEvaluateBatch:
-    @pytest.mark.parametrize("cfg", [
-        SystemConfig(M=10, K=5, N=8, tau_p=5),
-        SystemConfig(M=40, K=20, N=20, tau_p=20),
-        SystemConfig(M=10, K=6, N=8, tau_p=2),
-        SystemConfig(M=40, K=20, N=20, tau_p=7),
-        SystemConfig(M=4, K=3, N=2, tau_p=1, idle_backhaul_power=0.3)],
-        ids=["desk", "full", "shared_pilots", "full_shared_pilots",
-             "one_pilot_idle_power"])
+    @BATCH_CONFIGS
     def test_rows_bit_equal_reference(self, cfg):
         # one random zeta per action: some rows are off for some actions,
         # and with shared pilots the coherent term's matmul runs over them
@@ -427,6 +430,32 @@ class TestEvaluateBatch:
                 assert bits(rewards[b]) == bits(batch_rewards(
                     one.ee_bits_per_joule, one.qos_shortfall.sum(), 20.0))
                 assert bits(shortfall_b[b]) == bits(one.qos_shortfall.sum())
+
+    @BATCH_CONFIGS
+    def test_row_subset_bit_equal_batch_on_those_rows(self, cfg):
+        # the grid oracle's reduction: summing the row terms of a subset of
+        # the rows equals evaluating the allocations cut to those rows,
+        # with the other APs' antenna counts zeroed
+        rng = np.random.default_rng(cfg.M * cfg.K + cfg.tau_p)
+        for seed in range(2):
+            sc = generate_scenario(cfg, seed)
+            B = 40
+            actions = np.column_stack([
+                rng.uniform(0.01, 1, B), rng.uniform(0, 4, B),
+                rng.choice([0.0, 1.0, 2.0, rng.uniform(0, 4)], B)])
+            rows, n_active, eta = realize_batch(actions, sc, cfg)
+            terms = row_terms(sc, rows, n_active, eta, cfg)
+            # the top-ranked AP is on in every allocation, so each keeps
+            # some power on the subset
+            rank, _ = activation(ap_scores(sc.beta), np.array([1.0]))
+            for _ in range(3):
+                sel = (rng.random(len(rows)) < 0.5) | (rank[rows] == 0)
+                n_sub = np.where(np.isin(np.arange(cfg.M), rows[sel]),
+                                 n_active, 0)
+                got = evaluate_rows(sc, terms, sel, n_sub, cfg)
+                want = evaluate_batch(sc, rows[sel], n_sub, eta[:, sel], cfg)
+                for g, w in zip(got, want):
+                    assert bits(g) == bits(w)
 
     def test_closed_form_matches_reference_on_hand_decisions(self):
         cfg = SystemConfig(M=3, K=3, N=4, tau_p=1)
