@@ -100,9 +100,8 @@ def _ratios(gamma: np.ndarray,
     with no positive entry raises ValueError naming the first such AP."""
     g = gamma[rows]
     gmax = g.max(axis=1)
-    bad = rows[gmax <= 0]
-    if len(bad):
-        raise ValueError(f"degenerate gamma row at AP {bad[0]}")
+    if gmax.min() <= 0:
+        raise ValueError(f"degenerate gamma row at AP {rows[gmax <= 0][0]}")
     return gmax, g / gmax[:, None]
 
 

@@ -250,27 +250,35 @@ def grid_oracle_one(sc: Scenario, grid: Dict[str, np.ndarray],
     (`perf.evaluate_rows`), which equals `evaluate_batch` of the cut
     realization bit for bit.
 
+    The actions form a |kappa| x |nu| grid; at one zeta an action's
+    antenna counts depend on kappa alone, so they are passed as
+    (kappa, 1, M) and the power draw's antenna terms are formed once per
+    kappa.
+
     Ties break toward the lexicographically smallest (zeta, kappa, nu):
-    batches run in zeta order, rows in (kappa, nu) order, and only a
+    batches run in zeta order, actions in (kappa, nu) order, and only a
     strictly larger reward replaces the best so far.
     """
     zetas = np.asarray(grid["zeta"], dtype=float)
-    kappa = np.repeat(grid["kappa"], len(grid["nu"]))
-    nu = np.tile(grid["nu"], len(grid["kappa"]))
+    kappa, nu = np.meshgrid(grid["kappa"], grid["nu"], indexing="ij")
     rank, n_on = activation(ap_scores(sc.beta), zetas)
-    actions = np.column_stack([np.full(len(kappa), zetas.max()), kappa, nu])
+    actions = np.column_stack([np.full(kappa.size, zetas.max()),
+                               kappa.ravel(), nu.ravel()])
     rows, n_active, eta = realize_batch(actions, sc, cfg)
-    terms = row_terms(sc, rows, n_active, eta, cfg)
+    n_active = n_active.reshape(kappa.shape + (-1,))[:, :1]
+    terms = row_terms(sc, rows, n_active,
+                      eta.reshape(kappa.shape + eta.shape[1:]), cfg)
     del eta   # the row terms hold all that is needed of the powers
     best_action, best_reward = None, None
     for zeta, n in zip(zetas, n_on):
         on = rank < n
         _, _, ee, shortfall = evaluate_rows(
             sc, terms, on[rows], np.where(on, n_active, 0), cfg)
-        rewards = batch_rewards(ee, shortfall, penalty)
+        rewards = batch_rewards(ee, shortfall, penalty).ravel()
         i = int(np.argmax(rewards))
         if best_reward is None or rewards[i] > best_reward:
-            best_action = Action(float(zeta), float(kappa[i]), float(nu[i]))
+            best_action = Action(float(zeta), float(kappa.flat[i]),
+                                 float(nu.flat[i]))
             best_reward = float(rewards[i])
     report = evaluate(sc, realize(best_action, sc, cfg), cfg)
     return OracleResult(action=best_action, reward=best_reward,

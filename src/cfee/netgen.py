@@ -46,9 +46,9 @@ def path_loss_db(d, cfg: SystemConfig):
     d0, d1 = cfg.d0 / 1e3, cfg.d1 / 1e3
     dk = d / 1e3
     near = -L - 15.0 * np.log10(d1) - 20.0 * np.log10(d0)
-    with np.errstate(divide="ignore"):
-        mid = -L - 15.0 * np.log10(d1) - 20.0 * np.log10(np.maximum(dk, d0))
-        far = -L - 35.0 * np.log10(np.maximum(dk, d0))
+    log_d = np.log10(np.maximum(dk, d0))   # both slopes beyond d0
+    mid = -L - 15.0 * np.log10(d1) - 20.0 * log_d
+    far = -L - 35.0 * log_d
     pl = np.where(dk <= d0, near, np.where(dk <= d1, mid, far))
     return pl if pl.ndim else float(pl)
 

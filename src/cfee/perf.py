@@ -67,34 +67,64 @@ def _check_eta(eta: np.ndarray):
 
 
 class RowTerms(NamedTuple):
-    """The closed form's per-AP terms (see `row_terms`)."""
+    """The closed form's per-AP terms (see `row_terms`), rows outermost:
+    row i of each array, the terms of AP rows[i], is one contiguous block."""
 
     rows: np.ndarray        # (R,) AP indices
-    amp: np.ndarray         # (..., R, K) N_m sqrt(eta_mk) gamma_mk
+    amp: np.ndarray         # (R, ..., K) N_m sqrt(eta_mk) gamma_mk
     amp_by_beta: Optional[np.ndarray]  # amp / beta_mk if pilots are shared
-    nc: np.ndarray          # (..., R, K) beta_mk N_m load_m
-    load: np.ndarray        # (..., R) load_m = sum_k eta_mk gamma_mk
+    nc: np.ndarray          # (R, ..., K) beta_mk N_m load_m
+    load: np.ndarray        # (R, ...) load_m = sum_k eta_mk gamma_mk
+
+
+def _moved(a: np.ndarray, src: int, dst: int) -> np.ndarray:
+    """`np.moveaxis(a, src, dst)` for one axis, a view, without its
+    argument checks, which cost more than the closed form's small
+    batches."""
+    axes = list(range(a.ndim))
+    axes.insert(dst % a.ndim, axes.pop(src))
+    return a.transpose(axes)
 
 
 def row_terms(sc: Scenario, rows: np.ndarray, n_active: np.ndarray,
               eta: np.ndarray, cfg: SystemConfig) -> RowTerms:
     """The row-local half of the closed form of allocations of one
     scenario: antenna counts (..., M) and powers (..., R, K) on the APs
-    `rows` (R,), in index order, with one leading batch axis or none. A row
-    depends only on its AP's antenna count and powers, not on which other
-    APs are on; `evaluate_rows` sums the rows."""
-    gamma, beta = sc.gamma[rows], sc.beta[rows]
+    `rows` (R,), in index order, with leading batch axes or none, along
+    which the antenna counts broadcast against the powers (the grid
+    oracle passes (kappa, 1, M) against (kappa, nu, R, K)). A row depends
+    only on its AP's antenna count and powers, not on which other APs are
+    on; `evaluate_rows` sums the rows."""
     _check_eta(eta)
-    n = n_active[..., rows].astype(float)[..., None]  # (..., R, 1)
-    amp = np.sqrt(eta)
-    amp *= n
+    R, batch, K = len(rows), eta.shape[:-2], eta.shape[-1]
+    gamma = sc.gamma[rows].reshape((R,) + (1,) * len(batch) + (K,))
+    beta = sc.beta[rows].reshape(gamma.shape)
+    n = _moved(n_active[..., rows], -1, 0).astype(float)  # (R, ...)
+    # one transposed pass over eta, into the buffer `nc` ends up in
+    nc = np.empty((R,) + batch + (K,))
+    nc[...] = _moved(eta, -2, 0)
+    amp = np.sqrt(nc)
+    amp *= n[..., None]
     amp *= gamma
-    nc = np.multiply(eta, gamma)
+    nc *= gamma
     load = nc.sum(axis=-1)
-    np.multiply(beta, n * load[..., None], out=nc)
+    np.multiply(beta, (n * load)[..., None], out=nc)
     xcorr = sc.pilot_xcorr
     shared = np.count_nonzero(xcorr) > np.count_nonzero(np.diagonal(xcorr))
     return RowTerms(rows, amp, amp / beta if shared else None, nc, load)
+
+
+def _sum_rows(terms: np.ndarray, sel) -> np.ndarray:
+    """terms[sel].sum(axis=0) without gathering the rows: each is a
+    contiguous block, added one at a time in index order, as numpy adds
+    the rows of a slice."""
+    if isinstance(sel, slice):
+        return terms[sel].sum(axis=0)
+    first, *rest = np.flatnonzero(sel)
+    total = terms[first].copy()
+    for i in rest:
+        total += terms[i]
+    return total
 
 
 def evaluate_rows(sc: Scenario, terms: RowTerms, sel, n_active: np.ndarray,
@@ -107,14 +137,17 @@ def evaluate_rows(sc: Scenario, terms: RowTerms, sel, n_active: np.ndarray,
     with orthogonal pilots it vanishes for all pairs."""
     rd = rho_d(cfg)
     # desired signal: rho_d * (sum_m sqrt(eta_mk) N_m gamma_mk)^2
-    num = rd * terms.amp[..., sel, :].sum(axis=-2) ** 2
+    num = rd * _sum_rows(terms.amp, sel) ** 2
 
     # coherent interference: rho_d * sum_{j != k} xcorr[j,k] *
     #   (sum_m N_m sqrt(eta_mj) gamma_mj beta_mk / beta_mj)^2,
     # zero unless some users share a pilot
     t_coh = 0.0
     if terms.amp_by_beta is not None:
-        coh = np.matmul(np.swapaxes(terms.amp_by_beta[..., sel, :], -1, -2),
+        # BLAS gets a (..., R_on, K)-contiguous operand: its bits depend
+        # on the layout
+        a = np.ascontiguousarray(_moved(terms.amp_by_beta[sel], 0, -2))
+        coh = np.matmul(np.swapaxes(a, -1, -2),
                         sc.beta[terms.rows[sel]])   # (..., K_j, K_k)
         np.square(coh, out=coh)
         xcorr = sc.pilot_xcorr
@@ -122,13 +155,13 @@ def evaluate_rows(sc: Scenario, terms: RowTerms, sel, n_active: np.ndarray,
         t_coh = rd * coh.sum(axis=-2)
 
     # non-coherent interference + beamforming uncertainty
-    t_nc = rd * terms.nc[..., sel, :].sum(axis=-2)
+    t_nc = rd * _sum_rows(terms.nc, sel)
     se = prelog(cfg) * np.log2(1.0 + num / (t_coh + t_nc + 1.0))
     se_sum = se.sum(axis=-1)
     # `_power` sums the load over all M APs: a pairwise sum, whose bits
     # depend on the zeros it holds
-    load = np.zeros(n_active.shape)
-    load[..., terms.rows[sel]] = terms.load[..., sel]
+    load = np.zeros(terms.load.shape[1:] + n_active.shape[-1:])
+    _moved(load, -1, 0)[terms.rows[sel]] = terms.load[sel]
     p_total = _power(n_active, load, se_sum, cfg)
     return (se, p_total, energy_efficiency(se_sum, p_total, cfg),
             np.maximum(0.0, cfg.se_min - se).sum(axis=-1))
@@ -239,7 +272,10 @@ def mc_se_oracle(sc: Scenario, dec: AllocationDecision, cfg: SystemConfig,
 def _power(n_active: np.ndarray, load: np.ndarray, se_sum,
            cfg: SystemConfig):
     """Network power draw from antenna counts (..., M), per-AP loads
-    (..., M) and sum SEs (...): amplifiers, circuits, and backhaul."""
+    (..., M) and sum SEs (...): amplifiers, circuits, and backhaul. The
+    antenna-only terms take the antenna counts' shape, so counts that
+    broadcast against the loads, (kappa, 1, M) against (kappa, nu, M),
+    form them once per kappa."""
     n = n_active.astype(float)
     # rho_d * N0 equals the radiated downlink power by construction
     amp = cfg.p_down_watts / cfg.alpha_amp * (n * load).sum(axis=-1)

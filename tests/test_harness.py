@@ -256,11 +256,16 @@ class TestGridOracle:
         assert res.action == action
         assert struct.pack("<d", res.reward) == struct.pack("<d", reward)
 
-    @pytest.mark.parametrize("tau_p", [20, 7], ids=["orthogonal", "shared"])
-    def test_matches_one_action_at_a_time_benchmark_grid(self, tau_p):
+    @pytest.mark.parametrize("tau_p, idle", [(20, 0.0), (7, 0.0), (20, 0.7)],
+                             ids=["orthogonal", "shared",
+                                  "orthogonal_idle_power"])
+    def test_matches_one_action_at_a_time_benchmark_grid(self, tau_p, idle):
         # the benchmark's 20 x 17 x 17 grid at the paper's scale, where
-        # each zeta sums its own rows of the row terms
-        full = SystemConfig(M=40, K=20, N=20, tau_p=tau_p)
+        # each zeta sums its own rows of the row terms, and the power
+        # draw's antenna terms, idle backhaul among them, come once per
+        # kappa
+        full = SystemConfig(M=40, K=20, N=20, tau_p=tau_p,
+                            idle_backhaul_power=idle)
         sc = held_out_scenarios(full, 1, seed=9)[0]
         self.assert_brute_force(sc, default_grid(20, 17, 17), full)
 
@@ -309,12 +314,13 @@ class TestGridOracle:
         row_terms, evaluate_rows = (cfee.harness.row_terms,
                                     cfee.harness.evaluate_rows)
 
+        # the actions as a kappa x nu grid, antenna counts once per kappa
         def counting_terms(sc, rows, n_active, eta, cfg_):
-            built.append(eta.shape[0])
+            built.append(eta.shape[:-2])
             return row_terms(sc, rows, n_active, eta, cfg_)
 
         def counting_reductions(sc, terms, sel, n_active, cfg_):
-            reduced.append(n_active.shape[0])
+            reduced.append(n_active.shape[:-1])
             return evaluate_rows(sc, terms, sel, n_active, cfg_)
 
         monkeypatch.setattr(cfee.harness, "row_terms", counting_terms)
@@ -322,8 +328,8 @@ class TestGridOracle:
                             counting_reductions)
         grid_oracle(held_out_scenarios(cfg, 3, seed=8), default_grid(5, 4, 3),
                     cfg)
-        assert built == [12, 12, 12]
-        assert reduced == [12] * 15
+        assert built == [(4, 3)] * 3
+        assert reduced == [(4, 1)] * 15
 
 
 class TestTrainEval:

@@ -46,6 +46,24 @@ class TestPathLoss:
         assert pl.shape == d.shape
         assert np.all(np.diff(pl[1:]) < 0)  # monotone decreasing past d0
 
+    def test_branches_and_breakpoints_match_scalar_formula(self, cfg):
+        # each slope and both breakpoints, which belong to the nearer
+        # slope, against the three-slope formula one distance at a time
+        def scalar(d):
+            dk, d0, d1 = d / 1e3, cfg.d0 / 1e3, cfg.d1 / 1e3
+            if dk <= d0:
+                return -cfg.L_db - 15 * np.log10(d1) - 20 * np.log10(d0)
+            if dk <= d1:
+                return -cfg.L_db - 15 * np.log10(d1) - 20 * np.log10(dk)
+            return -cfg.L_db - 35 * np.log10(dk)
+
+        d = np.array([0.0, 3.0, cfg.d0, np.nextafter(cfg.d0, np.inf), 30.0,
+                      cfg.d1, np.nextafter(cfg.d1, np.inf), 100.0, 900.0])
+        pl = path_loss_db(d, cfg)
+        for di, got in zip(d, pl):
+            assert got == scalar(di), f"d = {di!r}"
+            assert path_loss_db(di, cfg) == got
+
     def test_negative_distance_rejected(self, cfg):
         with pytest.raises(ValueError):
             path_loss_db(-1.0, cfg)

@@ -8,9 +8,10 @@ from cfee.alloc import Action, activation, ap_scores, realize, realize_batch
 from cfee.config import SystemConfig, noise_power, rho_d, rho_p
 from cfee.env import batch_rewards
 from cfee.netgen import Scenario, generate_scenario, pilot_groups
-from cfee.perf import (MC_CHUNK, AllocationDecision, closed_form_se,
-                       energy_efficiency, evaluate, evaluate_batch,
-                       evaluate_rows, mc_se_oracle, prelog, row_terms)
+from cfee.perf import (MC_CHUNK, AllocationDecision, _power,
+                       closed_form_se, energy_efficiency, evaluate,
+                       evaluate_batch, evaluate_rows, mc_se_oracle, prelog,
+                       row_terms)
 
 
 def full_power_decision(sc, cfg, n_active=None):
@@ -456,6 +457,24 @@ class TestEvaluateBatch:
                 want = evaluate_batch(sc, rows[sel], n_sub, eta[:, sel], cfg)
                 for g, w in zip(got, want):
                     assert bits(g) == bits(w)
+
+    def test_power_per_kappa_bit_equal_per_action(self):
+        # the grid oracle's call: antenna counts (kappa, 1, M) against
+        # loads (kappa, nu, M) give each action's bits of the (kappa nu, M)
+        # call, the idle backhaul included
+        cfg = SystemConfig(M=40, K=20, N=20, tau_p=20,
+                           idle_backhaul_power=0.7)
+        rng = np.random.default_rng(12)
+        n_kappa, n_nu = 17, 17
+        n_active = rng.integers(0, cfg.N + 1, (n_kappa, 1, cfg.M))
+        n_active[..., 0] = cfg.N
+        load = rng.uniform(0, 1e-3, (n_kappa, n_nu, cfg.M)) * (n_active > 0)
+        se_sum = rng.uniform(0, 200, (n_kappa, n_nu))
+        got = _power(n_active, load, se_sum, cfg)
+        want = _power(np.repeat(n_active, n_nu, axis=1).reshape(-1, cfg.M),
+                      load.reshape(-1, cfg.M), se_sum.ravel(), cfg)
+        assert got.shape == (n_kappa, n_nu)
+        assert bits(got) == bits(want)
 
     def test_closed_form_matches_reference_on_hand_decisions(self):
         cfg = SystemConfig(M=3, K=3, N=4, tau_p=1)
