@@ -94,23 +94,19 @@ def _layers(params: MlpParams, x: np.ndarray):
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Forward pass in the parameters' dtype, keeping no activations;
-    accepts (in,) or (batch, in). One input runs each layer as a
-    matrix-vector product in place, which gives the bits of the (1, in)
-    batch: numpy hands both to the same BLAS matrix-vector kernel."""
-    if np.ndim(x) != 1:
-        for y in _layers(params, x):
-            pass
-        return y
-    h = np.asarray(x, dtype=params.flat.dtype)
-    if h.shape[0] != params.sizes[0]:
-        raise ValueError(f"input dim {h.shape[0]} != {params.sizes[0]}")
+    accepts (in,) or (batch, in). Each layer's bias and ReLU act in
+    place on its product, with the bits of `forward_cache`."""
+    x = np.asarray(x, dtype=params.flat.dtype)
+    h = x[None, :] if x.ndim == 1 else x
+    if h.shape[1] != params.sizes[0]:
+        raise ValueError(f"input dim {h.shape[1]} != {params.sizes[0]}")
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = w @ h
+        h = h @ w.T
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
-    return h
+    return h[0] if x.ndim == 1 else h
 
 
 def forward_cache(params: MlpParams, x: np.ndarray):

@@ -144,9 +144,9 @@ def evaluate_rows(sc: Scenario, terms: RowTerms, sel, n_active: np.ndarray,
     # zero unless some users share a pilot
     t_coh = 0.0
     if terms.amp_by_beta is not None:
-        # BLAS gets a (..., R_on, K)-contiguous operand: its bits depend
-        # on the layout
-        a = np.ascontiguousarray(_moved(terms.amp_by_beta[sel], 0, -2))
+        # BLAS reads the rows as a strided (..., R_on, K) view: one copy
+        # for a mask, none for a slice
+        a = _moved(terms.amp_by_beta[sel], 0, -2)
         coh = np.matmul(np.swapaxes(a, -1, -2),
                         sc.beta[terms.rows[sel]])   # (..., K_j, K_k)
         np.square(coh, out=coh)

@@ -41,20 +41,20 @@ class TestForward:
         for i in range(4):
             assert np.allclose(batched[i], forward(p, xs[i]))
 
-    def test_single_input_bit_equal_one_row_batch(self):
-        # one input runs as matrix-vector products, with the bits of the
-        # (1, in) batch in either parameter dtype
+    def test_bit_equal_forward_cache(self):
+        # the in-place bias and ReLU give the bits of the cached pass, for
+        # one input and a batch, in either parameter dtype
         rng = np.random.default_rng(5)
         p = init_mlp((40, 64, 64, 3), rng)
         for b in p.biases:
             b[...] = rng.normal(size=b.shape)
         for dtype in (np.float64, np.float32):
             q = MlpParams(p.weights, p.biases, p.sizes, dtype=dtype)
-            for _ in range(20):
-                x = rng.normal(size=40)
-                one, batch = forward(q, x), forward(q, x[None])[0]
-                assert one.dtype == batch.dtype == dtype
-                assert one.tobytes() == batch.tobytes()
+            for x in [rng.normal(size=40) for _ in range(10)] + [
+                    rng.normal(size=(n, 40)) for n in (1, 2, 7)]:
+                y, ref = forward(q, x), forward_cache(q, x)[0]
+                assert y.shape == ref.shape and y.dtype == ref.dtype == dtype
+                assert y.tobytes() == ref.tobytes()
 
     def test_shape_mismatch(self):
         p = init_mlp((3, 2), np.random.default_rng(3))
