@@ -329,7 +329,10 @@ def bench_runtime(m_values: Sequence[int], cfg: SystemConfig,
     oracle, in `cfg` with M set per size. A checkpoint can be timed only
     at the M it was trained at (its system is `checkpoint_system`'s);
     another M raises ValueError naming both. Without one, a freshly
-    initialized policy of the right dimensions is timed (zero-shot)."""
+    initialized policy of the right dimensions is timed (zero-shot).
+    Per size, `n_calls` decisions and max(3, n_calls // 100) oracle calls
+    are timed in alternating blocks; the speedup is the ratio of their
+    medians."""
     rows = []
     oracle_grid = oracle_grid or default_grid(10, 10, 10)
     trained = None if checkpoint is None else load_policy(checkpoint)
@@ -353,19 +356,20 @@ def bench_runtime(m_values: Sequence[int], cfg: SystemConfig,
                 meta={})
         feats = policy_features(sc, lp)
 
-        lat = np.empty(n_calls)
-        for i in range(n_calls):
-            t0 = time.perf_counter()
-            vec = lp.policy.deterministic_action(feats)
-            realize(scheme_action(vec, lp.scheme), sc, cfg_m)
-            lat[i] = time.perf_counter() - t0
-
+        # alternating blocks in one window: a block of policy calls, then
+        # one oracle call, so that host load reaches both timings alike
         n_oracle = max(3, n_calls // 100)
-        olat = np.empty(n_oracle)
-        for i in range(n_oracle):
+        lat, olat = np.empty(n_calls), np.empty(n_oracle)
+        for j, block in enumerate(np.array_split(np.arange(n_calls),
+                                                 n_oracle)):
+            for i in block:
+                t0 = time.perf_counter()
+                vec = lp.policy.deterministic_action(feats)
+                realize(scheme_action(vec, lp.scheme), sc, cfg_m)
+                lat[i] = time.perf_counter() - t0
             t0 = time.perf_counter()
             grid_oracle_one(sc, oracle_grid, cfg_m)
-            olat[i] = time.perf_counter() - t0
+            olat[j] = time.perf_counter() - t0
 
         rows.append({
             "M": int(M),
