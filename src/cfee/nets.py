@@ -76,54 +76,43 @@ def zero_mlp(sizes: Sequence[int]) -> MlpParams:
                      [np.zeros(n_out) for _, n_out in pairs], tuple(sizes))
 
 
-def _layers(params: MlpParams, x: np.ndarray):
-    """x ((in,) or (batch, in)) as a 2-D batch in the parameters' dtype,
-    then each layer's output in turn."""
-    h = np.asarray(x, dtype=params.flat.dtype)
-    h = h[None, :] if h.ndim == 1 else h
-    if h.shape[1] != params.sizes[0]:
-        raise ValueError(f"input dim {h.shape[1]} != {params.sizes[0]}")
-    yield h
-    n_layers = len(params.weights)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
-        if i < n_layers - 1:
-            h = np.maximum(h, 0.0)
-        yield h
-
-
-def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Forward pass in the parameters' dtype, keeping no activations;
-    accepts (in,) or (batch, in). Each layer's bias and ReLU act in
-    place on its product, with the bits of `forward_cache`."""
+def forward(params: MlpParams, x: np.ndarray,
+            acts: Optional[list] = None) -> np.ndarray:
+    """Forward pass in the parameters' dtype; accepts (in,) or (batch, in).
+    Each layer's bias and ReLU act in place on its product. Given a list
+    `acts`, the input as a 2-D batch and each layer's output are appended
+    to it, as `backward` needs them."""
     x = np.asarray(x, dtype=params.flat.dtype)
     h = x[None, :] if x.ndim == 1 else x
     if h.shape[1] != params.sizes[0]:
         raise ValueError(f"input dim {h.shape[1]} != {params.sizes[0]}")
+    if acts is not None:
+        acts.append(h)
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w.T
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
+        if acts is not None:
+            acts.append(h)
     return h[0] if x.ndim == 1 else h
 
 
 def forward_cache(params: MlpParams, x: np.ndarray):
     """Forward pass keeping the activations needed for backward()."""
-    acts = list(_layers(params, x))
-    squeeze = np.ndim(x) == 1
-    y = acts[-1][0] if squeeze else acts[-1]
-    return y, (acts, squeeze)
+    acts = []
+    y = forward(params, x, acts)
+    return y, (acts, np.ndim(x) == 1)
 
 
 def backward(params: MlpParams, cache, grad_out: np.ndarray,
-             grad: Optional[np.ndarray] = None):
+             grad: Optional[np.ndarray] = None) -> np.ndarray:
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
-    Returns (d(loss)/d(parameters) as one vector laid out like
-    `params.flat`, d(loss)/d(input)); the former is written into `grad`
-    when given.
+    Returns d(loss)/d(parameters) as one vector laid out like
+    `params.flat`, written into `grad` when given. The gradient with
+    respect to the input is not formed.
     """
     acts, squeeze = cache
     g = np.asarray(grad_out, dtype=float)
@@ -132,13 +121,15 @@ def backward(params: MlpParams, cache, grad_out: np.ndarray,
     if grad is None:
         grad = np.empty(params.flat.size)
     gw, gb = params.views(grad)
-    for i in range(len(params.weights) - 1, -1, -1):
-        if i < len(params.weights) - 1:
-            g = g * (acts[i + 1] > 0)  # ReLU gate
+    last = len(params.weights) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            g *= acts[i + 1] > 0  # ReLU gate, on the product made below
         np.matmul(g.T, acts[i], out=gw[i])
         g.sum(axis=0, out=gb[i])
-        g = g @ params.weights[i]
-    return grad, (g[0] if squeeze else g)
+        if i > 0:
+            g = g @ params.weights[i]
+    return grad
 
 
 class Adam:
@@ -221,7 +212,7 @@ def grad_check(params: MlpParams, rng: np.random.Generator,
         return 0.5 * float(((y - target) ** 2).sum())
 
     y, cache = forward_cache(params, x)
-    analytic, _ = backward(params, cache, y - target)
+    analytic = backward(params, cache, y - target)
 
     flat0 = params.flat.copy()
     numeric = np.empty_like(flat0)

@@ -40,7 +40,7 @@ RETIRED_HYPER = {"critic_extra_epochs": 0, "discount": 0.0,
 class PpoHyper:
     clip: float = 0.2
     lr_actor: float = 1e-3
-    minibatch: int = 64
+    minibatch: int = 64  # samples per step, a multiple of GROUP_SIZE
     total_steps: int = 300_000
     rollout_horizon: int = 256  # samples per update, a multiple of GROUP_SIZE
     epochs_per_update: int = 10
@@ -57,17 +57,19 @@ class PpoHyper:
         """Raises ValueError naming the first field out of range."""
         for name, low, strict in (
                 ("clip", 0, True), ("lr_actor", 0, True),
-                ("max_grad_norm", 0, True), ("minibatch", 1, False),
+                ("max_grad_norm", 0, True),
                 ("epochs_per_update", 1, False), ("total_steps", 1, False),
                 ("entropy_coef", 0, False), ("penalty", 0, False)):
             value = getattr(self, name)
             if value < low or (strict and value == low):
                 raise ValueError(f"{name} must be {'>' if strict else '>='} "
                                  f"{low}, got {value!r}")
-        if self.rollout_horizon <= 0 or self.rollout_horizon % GROUP_SIZE:
-            raise ValueError(f"rollout_horizon must be a positive multiple "
-                             f"of GROUP_SIZE={GROUP_SIZE}, got "
-                             f"{self.rollout_horizon}")
+        # samples come in whole groups, to the buffer and to each minibatch
+        for name in ("rollout_horizon", "minibatch"):
+            value = getattr(self, name)
+            if value <= 0 or value % GROUP_SIZE:
+                raise ValueError(f"{name} must be > 0 and a multiple of "
+                                 f"GROUP_SIZE={GROUP_SIZE}, got {value!r}")
 
 
 class SquashedGaussianPolicy:
@@ -220,41 +222,50 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
                logstd_floor: Optional[float] = None,
                lr_scale: float = 1.0) -> Dict[str, float]:
     """One PPO update over a full rollout buffer. Returns the means over
-    minibatch steps of the policy loss ("policy_loss") and of the pre-clip
-    gradient norm ("grad_norm"), and the share of (sample, step) terms
-    whose surrogate takes the clipped branch ("clip_frac"). `opt` steps
-    `policy.params`; its state carries over from one update to the next.
+    minibatch steps of the policy loss ("policy_loss"), of the pre-clip
+    gradient norm ("grad_norm") and of the sample estimate of the KL
+    divergence from the rollout policy, mean(logp_old - logp_new)
+    ("approx_kl"), and the share of (sample, step) terms whose surrogate
+    takes the clipped branch ("clip_frac"). `opt` steps `policy.params`;
+    its state carries over from one update to the next.
 
-    The actor runs forward and backward once per distinct scenario of a
-    minibatch, not once per sample: its samples share that scenario's
-    mean, and their output gradients are summed into one row, which gives
-    the per-sample gradient up to the order of the sums."""
+    Each epoch shuffles the buffer's groups, and each minibatch is
+    `minibatch // GROUP_SIZE` whole groups: the actor runs forward and
+    backward once per scenario, not once per sample, since a group's
+    samples share their scenario's mean; their output gradients are
+    summed into that scenario's row."""
     floor = LOGSTD_CLAMP[0] if logstd_floor is None else logstd_floor
     if not buffer.full:
         raise ValueError("rollout buffer not full")
     hyper.validate()
-    adv = group_advantages(buffer.rewards)
     opt.lr = hyper.lr_actor * lr_scale
     n_actor = policy.actor.n_params()
     grad = np.empty(policy.params.size)
 
-    T = buffer.horizon
-    losses, norms, n_clipped = [], [], 0
+    T, G, dim = buffer.horizon, GROUP_SIZE, policy.action_dim
+    n_groups = T // G
+    per_step = hyper.minibatch // G
+    # per group: its samples' raws, advantages and rollout log-probs
+    raws_g = buffer.raws.reshape(n_groups, G, dim)
+    adv_g = group_advantages(buffer.rewards).reshape(n_groups, G)
+    logp_g = buffer.logps.reshape(n_groups, G)
+    losses, norms, kls, n_clipped = [], [], [], 0
     for _ in range(hyper.epochs_per_update):
-        order = rng.permutation(T)
-        for start in range(0, T, hyper.minibatch):
-            idx = order[start:start + hyper.minibatch]
-            # the minibatch's distinct scenarios; sample i is on groups[inv[i]]
-            groups, inv = np.unique(idx // GROUP_SIZE, return_inverse=True)
-            raws = buffer.raws[idx]
-            a = adv[idx]
-            logp_old = buffer.logps[idx]
-            B = len(idx)
+        order = rng.permutation(n_groups)
+        states, raws_e = buffer.states[order], raws_g[order]
+        adv_e, logp_e = adv_g[order], logp_g[order]
+        for start in range(0, n_groups, per_step):
+            mb = slice(start, start + per_step)
+            raws = raws_e[mb].reshape(-1, dim)
+            a = adv_e[mb].ravel()
+            logp_old = logp_e[mb].ravel()
+            B = len(a)
 
-            mean_u, cache = forward_cache(policy.actor, buffer.states[groups])
-            mean = mean_u[inv]
-            logp_new = policy.log_prob(raws, mean)
-            ratio = np.exp(logp_new - logp_old)
+            mean_u, cache = forward_cache(policy.actor, states[mb])
+            mean = np.repeat(mean_u, G, axis=0)
+            log_ratio = policy.log_prob(raws, mean) - logp_old
+            kls.append(-float(log_ratio.mean()))
+            ratio = np.exp(log_ratio)
             surr = clipped_surrogate(ratio, a, hyper.clip)
             losses.append(-float(surr.mean()))
             if not np.isfinite(losses[-1]):
@@ -270,8 +281,8 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
             z = (raws - mean) / std
             # ascend: feed the negated gradient to the descending optimizer;
             # a scenario's row sums the gradients of its samples
-            grad_mean = np.zeros_like(mean_u)
-            np.add.at(grad_mean, inv, -(coef[:, None] * (z / std)) / B)
+            grad_mean = (-(coef[:, None] * (z / std)) / B).reshape(
+                -1, G, dim).sum(axis=1)
             backward(policy.actor, cache, grad_mean, grad[:n_actor])
             grad[n_actor:] = -(coef[:, None] * (z ** 2 - 1.0)).sum(axis=0) / B
             # entropy bonus: d/d(logstd) of the Gaussian entropy is 1
@@ -282,7 +293,8 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
                     out=policy.logstd)
     return {"policy_loss": float(np.mean(losses)),
             "grad_norm": float(np.mean(norms)),
-            "clip_frac": n_clipped / (hyper.epochs_per_update * T)}
+            "clip_frac": n_clipped / (hyper.epochs_per_update * T),
+            "approx_kl": float(np.mean(kls))}
 
 
 class PpoTrainer:
@@ -321,9 +333,13 @@ class PpoTrainer:
         coeffs = np.zeros((buf.horizon, 3))
         logs: List[dict] = []
         with open(log_path or os.devnull, "w") as log_file:
-            log_file.write("step,mean_reward,policy_loss,group_reward_std,"
-                           "mean_zeta,mean_kappa,mean_nu,grad_norm,"
-                           "clip_frac\n")
+            columns = (["step", "mean_reward", "policy_loss",
+                        "group_reward_std", "mean_zeta", "mean_kappa",
+                        "mean_nu", "grad_norm", "clip_frac", "approx_kl"]
+                       + [f"logstd_{i}"
+                          for i in range(self.policy.action_dim)])
+            log_file.write(",".join(columns) + "\n")
+            line = "%d" + ",%.12g" * (len(columns) - 1) + "\n"
             step = 0
             while step < total_steps:
                 buf.reset()
@@ -358,10 +374,12 @@ class PpoTrainer:
                     "mean_nu": float(coeffs[:, 2].mean()),
                     "grad_norm": stats["grad_norm"],
                     "clip_frac": stats["clip_frac"],
+                    "approx_kl": stats["approx_kl"],
+                    **{f"logstd_{i}": float(v)
+                       for i, v in enumerate(self.policy.logstd)},
                 }
                 logs.append(row)
-                log_file.write(("%d" + ",%.12g" * 8 + "\n")
-                               % tuple(row.values()))
+                log_file.write(line % tuple(row.values()))
                 log_file.flush()
         return logs
 

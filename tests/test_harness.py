@@ -590,6 +590,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("text, key", [
         ("ppo: {minibatch: 0}\n", "minibatch"),
+        ("ppo: {minibatch: 12}\n", "minibatch"),
         ("ppo: {epochs_per_update: 0}\n", "epochs_per_update"),
         ("ppo: {total_steps: 0}\n", "total_steps"),
         ("ppo: {entropy_coef: -0.01}\n", "entropy_coef"),

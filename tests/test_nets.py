@@ -96,23 +96,6 @@ class TestGradCheck:
         assert 0 <= res.worst_index < p.n_params()
 
 
-class TestBackwardInputGrad:
-    def test_input_gradient_matches_fd(self):
-        rng = np.random.default_rng(8)
-        p = init_mlp((4, 6, 2), rng)
-        x = rng.normal(size=4) + 0.05
-        y, cache = forward_cache(p, x)
-        _, gx = backward(p, cache, 2 * y)
-        h = 1e-6
-        for j in range(4):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            num = (float((forward(p, xp) ** 2).sum())
-                   - float((forward(p, xm) ** 2).sum())) / (2 * h)
-            assert gx[j] == pytest.approx(num, rel=1e-5, abs=1e-7)
-
-
 class TestOptimizers:
     def test_adam_converges(self):
         x = np.array([5.0, -3.0])

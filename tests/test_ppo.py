@@ -250,7 +250,15 @@ class TestUpdate:
         assert header.split(",")[3] == "group_reward_std"
         assert logs[0]["group_reward_std"] > 0
 
-    def test_log_records_grad_norm_and_clip_frac(self, tmp_path):
+    def test_log_records_grad_norm_and_clip_frac(self, tmp_path,
+                                                 monkeypatch):
+        step_kls = []
+
+        def recording(ratio, adv, eps):
+            # ratio = exp(logp_new - logp_old)
+            step_kls.append(-float(np.log(ratio).mean()))
+            return clipped_surrogate(ratio, adv, eps)
+        monkeypatch.setattr(cfee.ppo, "clipped_surrogate", recording)
         rng = np.random.default_rng(15)
         pol = SquashedGaussianPolicy(init_mlp((3, 8, 1), rng),
                                      np.array([0.0]), np.array([1.0]))
@@ -261,15 +269,26 @@ class TestUpdate:
         trainer.train(total_steps=64 * 4, log_path=tmp_path / "log.csv")
         lines = (tmp_path / "log.csv").read_text().splitlines()
         header = lines[0].split(",")
-        assert header[7:] == ["grad_norm", "clip_frac"]
+        assert header[7:] == ["grad_norm", "clip_frac", "approx_kl",
+                              "logstd_0"]
         rows = np.array([[float(v) for v in line.split(",")]
                          for line in lines[1:]])
-        assert rows.shape == (4, 9) and np.all(np.isfinite(rows))
+        assert rows.shape == (4, 11) and np.all(np.isfinite(rows))
         assert np.all(rows[:, 7] > 0)
         assert np.all((rows[:, 8] >= 0) & (rows[:, 8] <= 1))
         # the first epoch's first minibatch is on-policy (ratio 1), so
         # several epochs at this step size clip some terms, never all
         assert 0 < rows[:, 8].max() < 1
+        # approx_kl: the mean over an update's 16 steps of
+        # mean(logp_old - logp_new); each update's first step is on-policy
+        per_update = np.reshape(step_kls, (4, 16))
+        assert rows[:, 9] == pytest.approx(per_update.mean(axis=1),
+                                           rel=1e-9, abs=1e-15)
+        assert np.all(np.abs(per_update[:, 0]) < 1e-12)
+        assert np.any(rows[:, 9] != 0)
+        # logstd at the end of each update: the last is the policy's
+        assert rows[-1, 10] == pytest.approx(pol.logstd[0], rel=1e-11)
+        assert len(set(rows[:, 10])) > 1
 
     def test_log_policy_loss_is_mean_over_steps(self, tmp_path,
                                                 monkeypatch):
@@ -298,21 +317,19 @@ class TestUpdate:
 
     def test_per_scenario_pass_matches_per_sample_step(self, monkeypatch):
         # one epoch of ppo_update against the per-sample step it replaces:
-        # forward and backward over all 64 rows, each state repeated
+        # forward and backward over the 64 rows of a step's 8 groups, each
+        # state repeated once per sample
         horizon, n_mb = 512, 64
+        n_groups = horizon // GROUP_SIZE
         rng = np.random.default_rng(17)
         pol, ref = make_policy(seed=18), make_policy(seed=18)
         buf = RolloutBuffer(horizon, 4, 2)
         fill_buffer(buf, pol, lambda s, a: rng.normal(size=len(a)), rng)
-        # the first minibatch holds all 8 samples of scenario 0 and one
-        # sample of each of 56 others; the rest is shuffled
-        first = np.r_[np.arange(GROUP_SIZE),
-                      GROUP_SIZE * np.arange(1, n_mb - GROUP_SIZE + 1)]
-        order = np.r_[first, rng.permutation(
-            np.setdiff1d(np.arange(horizon), first))]
+        order = rng.permutation(n_groups)
 
         class FixedOrder:
             def permutation(self, n):
+                assert n == n_groups
                 return order
         hyper = PpoHyper(rollout_horizon=horizon, epochs_per_update=1,
                          minibatch=n_mb, lr_actor=1e-2)
@@ -324,15 +341,16 @@ class TestUpdate:
         monkeypatch.setattr(cfee.ppo, "forward_cache", counting)
         ppo_update(buf, pol, Adam(pol.params, lr=hyper.lr_actor), hyper,
                    FixedOrder())
-        assert rows[0] == n_mb - GROUP_SIZE + 1
-        assert len(rows) == horizon // n_mb
+        assert rows == [n_mb // GROUP_SIZE] * (horizon // n_mb)
 
         opt = Adam(ref.params, lr=hyper.lr_actor)
         adv = group_advantages(buf.rewards)
         n_actor = ref.actor.n_params()
         grad = np.empty(ref.params.size)
-        for start in range(0, horizon, n_mb):
-            idx = order[start:start + n_mb]
+        for start in range(0, n_groups, n_mb // GROUP_SIZE):
+            groups = order[start:start + n_mb // GROUP_SIZE]
+            idx = (GROUP_SIZE * groups[:, None]
+                   + np.arange(GROUP_SIZE)).ravel()
             raws, a = buf.raws[idx], adv[idx]
             mean, cache = forward_cache(ref.actor,
                                         buf.states[idx // GROUP_SIZE])
