@@ -124,7 +124,7 @@ def backward(params: MlpParams, cache, grad_out: np.ndarray,
     last = len(params.weights) - 1
     for i in range(last, -1, -1):
         if i < last:
-            g *= acts[i + 1] > 0  # ReLU gate, on the product made below
+            g *= acts[i + 1] > 0  # ReLU gate, in place: g is a fresh product
         np.matmul(g.T, acts[i], out=gw[i])
         g.sum(axis=0, out=gb[i])
         if i > 0:
