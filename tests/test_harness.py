@@ -350,6 +350,13 @@ class TestTrainEval:
         lp = load_policy(ckpt)
         assert lp.scheme == "proposed"
         assert lp.normalizer is not None
+        # the log ends in each action dimension's log-std after the update
+        lines = (tmp_path / "train_proposed.csv").read_text().splitlines()
+        assert lines[0].split(",")[-3:] == ["logstd_0", "logstd_1",
+                                            "logstd_2"]
+        policy64, _, _, _ = load_checkpoint(ckpt)
+        assert [float(v) for v in lines[-1].split(",")[-3:]] == \
+            pytest.approx(policy64.logstd, rel=1e-11)
         scen = held_out_scenarios(cfg, 3, seed=0)
         results = evaluate_policy(lp, scen, cfg)
         assert len(results) == 3
