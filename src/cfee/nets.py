@@ -142,12 +142,20 @@ class Adam:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._buf = np.empty_like(params)  # work buffer reused by every step
+        self._tiny = np.finfo(params.dtype).tiny  # smallest normal float
         self.t = 0
 
     def step(self, grad: np.ndarray):
         """Descend along `grad` (negate the gradient to ascend) by the
         textbook lr * mhat / (sqrt(vhat) + eps), its bias corrections
-        c1 = 1 - beta1^t and c2 = 1 - beta2^t folded into two scalars."""
+        c1 = 1 - beta1^t and c2 = 1 - beta2^t folded into two scalars.
+
+        Entries of m below the smallest normal float are set to 0. Such an
+        entry moves its parameter by at most lr * tiny / eps, far below
+        half an ulp of any nonzero weight, so the parameters keep their
+        bits; but once a gradient entry stays 0 (a dead ReLU unit),
+        m *= beta1 would walk it through the subnormal range, where
+        arithmetic runs several times slower."""
         self.t += 1
         b1, b2, buf = self.beta1, self.beta2, self._buf
         root_c2 = np.sqrt(1 - b2 ** self.t)
@@ -155,6 +163,8 @@ class Adam:
         np.multiply(grad, 1 - b1, out=buf)
         self.m *= b1
         self.m += buf
+        np.abs(self.m, out=buf)
+        self.m[buf < self._tiny] = 0.0
         # v = b2 * v + (1 - b2) * g * g
         np.multiply(grad, grad, out=buf)
         buf *= 1 - b2

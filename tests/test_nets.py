@@ -148,6 +148,39 @@ class TestOptimizers:
             ref -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
             np.testing.assert_allclose(x, ref, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("dtype", [np.float64])
+    def test_flushes_decaying_first_moment(self, dtype):
+        # one gradient, then 1,000 zero gradients (a unit that died): m
+        # decays by beta1 a step, and the entries scaled to end near the
+        # smallest normal float would end subnormal without the flush
+        tiny = np.finfo(dtype).tiny
+        end = 0.1 * 0.9 ** 1000  # m / g after the last step
+        g0 = np.array([1.0, -0.3, 2.0, *(tiny / end * np.array(
+            [0.5, -1e-3, 20.0, -3e-5]))]).astype(dtype)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=g0.size).astype(dtype)
+        ref = x.copy()
+        opt = Adam(x, lr=1e-2)
+        m, v = np.zeros_like(x), np.zeros_like(x)
+        for t in range(1, 1002):
+            grad = g0 if t == 1 else np.zeros_like(g0)
+            opt.step(grad)
+            # the step's own arithmetic, without the flush
+            m *= 0.9
+            m += grad * (1 - 0.9)
+            v *= 0.999
+            v += grad * grad * (1 - 0.999)
+            root_c2 = (1 - 0.999 ** t) ** 0.5
+            ref -= (m / (np.sqrt(v) + 1e-8 * root_c2)
+                    * (1e-2 * root_c2 / (1 - 0.9 ** t)))
+
+        def subnormal(a):
+            return np.count_nonzero((a != 0) & (np.abs(a) < tiny))
+        assert subnormal(m) > 0  # the reference's m did go subnormal
+        assert subnormal(opt.m) == 0 and subnormal(opt.v) == 0
+        assert x.dtype == ref.dtype == dtype
+        assert np.array_equal(x, ref)
+
 
 class TestFlatten:
     def test_round_trip(self):
