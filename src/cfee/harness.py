@@ -18,7 +18,7 @@ from .env import CellFreeEnv, FeatureNormalizer, beta_features, \
 from .netgen import Scenario, generate_scenario
 from .perf import AllocationDecision, PerfReport, closed_form_se, evaluate, \
     evaluate_rows, mc_se_oracle, row_terms
-from .nets import init_mlp
+from .nets import MlpParams, init_mlp
 from .ppo import PpoHyper, PpoTrainer, PolicySnapshot, \
     SquashedGaussianPolicy, HIDDEN_SIZES, load_checkpoint, save_checkpoint
 
@@ -66,9 +66,14 @@ def scheme_action(vec: np.ndarray, scheme: str) -> Action:
 
 def build_policy(scheme: str, obs_dim: int,
                  rng: np.random.Generator) -> SquashedGaussianPolicy:
+    """A freshly initialized policy whose actor, and so the whole training
+    update, runs in float32; its weights are init_mlp's float64 draws,
+    rounded once."""
     lo, hi = scheme_bounds(scheme)
-    actor = init_mlp((obs_dim, *HIDDEN_SIZES, len(lo)), rng,
-                     final_scale=0.01)
+    init = init_mlp((obs_dim, *HIDDEN_SIZES, len(lo)), rng,
+                    final_scale=0.01)
+    actor = MlpParams(init.weights, init.biases, init.sizes,
+                      dtype=np.float32)
     return SquashedGaussianPolicy(actor, lo, hi)
 
 

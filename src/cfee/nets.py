@@ -2,6 +2,7 @@
 # an Adam optimizer, and a finite-difference gradient checker.
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -46,7 +47,8 @@ class MlpParams:
         self.weights, self.biases = self.views(storage)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(self.weights, self.biases, self.sizes)
+        return MlpParams(self.weights, self.biases, self.sizes,
+                         dtype=self.flat.dtype)
 
     def arrays(self) -> List[np.ndarray]:
         return [a for pair in zip(self.weights, self.biases) for a in pair]
@@ -111,15 +113,15 @@ def backward(params: MlpParams, cache, grad_out: np.ndarray,
     """Backpropagate d(loss)/d(output) through the cached forward pass.
 
     Returns d(loss)/d(parameters) as one vector laid out like
-    `params.flat`, written into `grad` when given. The gradient with
-    respect to the input is not formed.
+    `params.flat`, in its dtype, written into `grad` when given. The
+    gradient with respect to the input is not formed.
     """
     acts, squeeze = cache
-    g = np.asarray(grad_out, dtype=float)
+    g = np.asarray(grad_out, dtype=params.flat.dtype)
     if squeeze:
         g = g[None, :]
     if grad is None:
-        grad = np.empty(params.flat.size)
+        grad = np.empty_like(params.flat)
     gw, gb = params.views(grad)
     last = len(params.weights) - 1
     for i in range(last, -1, -1):
@@ -133,7 +135,7 @@ def backward(params: MlpParams, cache, grad_out: np.ndarray,
 
 
 class Adam:
-    """Adam over one parameter vector, updated in place."""
+    """Adam over one parameter vector, updated in place in its dtype."""
 
     def __init__(self, params: np.ndarray, lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -148,7 +150,9 @@ class Adam:
     def step(self, grad: np.ndarray):
         """Descend along `grad` (negate the gradient to ascend) by the
         textbook lr * mhat / (sqrt(vhat) + eps), its bias corrections
-        c1 = 1 - beta1^t and c2 = 1 - beta2^t folded into two scalars.
+        c1 = 1 - beta1^t and c2 = 1 - beta2^t folded into two Python
+        floats (a NumPy float64 scalar would run float32 vectors through
+        float64 loops and casts).
 
         Entries of m below the smallest normal float are set to 0. Such an
         entry moves its parameter by at most lr * tiny / eps, far below
@@ -158,7 +162,7 @@ class Adam:
         arithmetic runs several times slower."""
         self.t += 1
         b1, b2, buf = self.beta1, self.beta2, self._buf
-        root_c2 = np.sqrt(1 - b2 ** self.t)
+        root_c2 = math.sqrt(1 - b2 ** self.t)
         # m = b1 * m + (1 - b1) * g
         np.multiply(grad, 1 - b1, out=buf)
         self.m *= b1

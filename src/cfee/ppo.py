@@ -77,8 +77,8 @@ class SquashedGaussianPolicy:
     per-coordinate sigmoid; log-probabilities carry the change-of-variables
     correction. The log-std is a free state-independent parameter.
 
-    The optimised parameters form one vector, `params`: the actor's `flat`
-    followed by `logstd`, both views into it."""
+    The optimised parameters form one vector, `params`, in the actor's
+    dtype: the actor's `flat` followed by `logstd`, both views into it."""
 
     def __init__(self, actor: MlpParams, lo: np.ndarray, hi: np.ndarray,
                  logstd: Optional[np.ndarray] = None):
@@ -90,7 +90,7 @@ class SquashedGaussianPolicy:
         if actor.sizes[-1] != dim:
             raise ValueError("actor output dim must match bounds")
         n = actor.n_params()
-        self.params = np.empty(n + dim)
+        self.params = np.empty(n + dim, dtype=actor.flat.dtype)
         self.params[n:] = LOGSTD_INIT if logstd is None else logstd
         actor.bind(self.params[:n])
         self.actor = actor
@@ -121,9 +121,10 @@ class SquashedGaussianPolicy:
 
 class PolicySnapshot:
     """A policy's deterministic decision for inference: a float32 copy of
-    its actor (half the weight bytes per decision) and its action box,
-    taken when built; later changes to the policy do not reach it. The
-    squash runs in float64, as training does throughout."""
+    its actor (half the weight bytes of float64 per decision; a trained
+    actor is float32 already, so the copy keeps its bits) and its action
+    box, taken when built; later changes to the policy do not reach it.
+    The squash runs in float64, as training's per-sample math does."""
 
     def __init__(self, policy):
         actor = policy.actor
@@ -240,7 +241,7 @@ def ppo_update(buffer: RolloutBuffer, policy: SquashedGaussianPolicy,
     hyper.validate()
     opt.lr = hyper.lr_actor * lr_scale
     n_actor = policy.actor.n_params()
-    grad = np.empty(policy.params.size)
+    grad = np.empty_like(policy.params)
 
     T, G, dim = buffer.horizon, GROUP_SIZE, policy.action_dim
     n_groups = T // G

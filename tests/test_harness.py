@@ -357,6 +357,9 @@ class TestTrainEval:
         policy64, _, _, _ = load_checkpoint(ckpt)
         assert [float(v) for v in lines[-1].split(",")[-3:]] == \
             pytest.approx(policy64.logstd, rel=1e-11)
+        # trained in float32, stored as float64
+        assert np.array_equal(policy64.params,
+                              policy64.params.astype(np.float32))
         scen = held_out_scenarios(cfg, 3, seed=0)
         results = evaluate_policy(lp, scen, cfg)
         assert len(results) == 3
@@ -396,8 +399,9 @@ class TestTrainEval:
 
 
 class TestFloat32Inference:
-    """Decisions come from a float32 snapshot of the trained float64 actor
-    (`LoadedPolicy.policy`)."""
+    """Decisions come from a float32 snapshot (`LoadedPolicy.policy`) of
+    the trained actor, whose float32 weights the checkpoint stores as
+    float64; the float64 reference below runs on those stored values."""
 
     DESK = SystemConfig(M=10, K=5, N=8, tau_p=5)
 

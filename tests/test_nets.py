@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,12 +150,12 @@ class TestOptimizers:
             ref -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
             np.testing.assert_allclose(x, ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("dtype", [np.float64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_flushes_decaying_first_moment(self, dtype):
         # one gradient, then 1,000 zero gradients (a unit that died): m
         # decays by beta1 a step, and the entries scaled to end near the
         # smallest normal float would end subnormal without the flush
-        tiny = np.finfo(dtype).tiny
+        tiny = float(np.finfo(dtype).tiny)
         end = 0.1 * 0.9 ** 1000  # m / g after the last step
         g0 = np.array([1.0, -0.3, 2.0, *(tiny / end * np.array(
             [0.5, -1e-3, 20.0, -3e-5]))]).astype(dtype)
@@ -170,7 +172,7 @@ class TestOptimizers:
             m += grad * (1 - 0.9)
             v *= 0.999
             v += grad * grad * (1 - 0.999)
-            root_c2 = (1 - 0.999 ** t) ** 0.5
+            root_c2 = math.sqrt(1 - 0.999 ** t)
             ref -= (m / (np.sqrt(v) + 1e-8 * root_c2)
                     * (1e-2 * root_c2 / (1 - 0.9 ** t)))
 
@@ -193,6 +195,15 @@ class TestFlatten:
         r = MlpParams(p.weights, p.biases, p.sizes)
         assert np.array_equal(r.flat, np.concatenate(
             [a.ravel() for a in p.arrays()]))
+
+    def test_copy_keeps_dtype(self):
+        p = init_mlp((3, 5, 2), np.random.default_rng(14))
+        p32 = MlpParams(p.weights, p.biases, p.sizes, dtype=np.float32)
+        q = p32.copy()
+        assert q.flat.dtype == np.float32
+        assert q.flat.tobytes() == p32.flat.tobytes()
+        q.flat[:] = 0.0
+        assert np.any(p32.flat != 0.0)
 
     def test_layers_are_views(self):
         p = init_mlp((3, 5, 2), np.random.default_rng(12))

@@ -8,10 +8,11 @@ import pytest
 
 import cfee.nets
 import cfee.ppo
-from cfee.harness import load_config
+from cfee.harness import build_policy, load_config
 from cfee.nets import Adam, backward, forward, forward_cache, init_mlp
-from cfee.ppo import (GROUP_SIZE, LOGSTD_CLAMP, PpoHyper, PpoTrainer,
-                      RolloutBuffer, SquashedGaussianPolicy, clip_grad_norm,
+from cfee.ppo import (GROUP_SIZE, LOGSTD_CLAMP, PolicySnapshot, PpoHyper,
+                      PpoTrainer, RolloutBuffer, SquashedGaussianPolicy,
+                      clip_grad_norm,
                       clipped_surrogate, gae, group_advantages,
                       load_checkpoint, ppo_update, save_checkpoint,
                       squash)
@@ -371,6 +372,31 @@ class TestUpdate:
         assert not np.array_equal(pol.params, make_policy(seed=18).params)
         np.testing.assert_allclose(pol.params, ref.params, rtol=1e-12,
                                    atol=0)
+
+    def test_build_policy_trains_in_float32(self):
+        # the parameters, each step's gradient and Adam's state stay
+        # float32 through an update: no silent upcast
+        rng = np.random.default_rng(15)
+        pol = build_policy("proposed", 4, rng)
+        buf = RolloutBuffer(64, 4, 3)
+        fill_buffer(buf, pol, lambda s, a: a[:, 0] - a[:, 2], rng)
+        opt = Adam(pol.params, lr=1e-3)
+        grads, step = [], opt.step
+        opt.step = lambda grad: grads.append(grad.dtype) or step(grad)
+        before = pol.params.copy()
+        ppo_update(buf, pol, opt, PpoHyper(rollout_horizon=64,
+                                           epochs_per_update=2,
+                                           minibatch=32), rng)
+        assert grads == [np.float32] * 4
+        assert not np.array_equal(pol.params, before)
+        for a in (pol.params, pol.actor.flat, pol.logstd, opt.m, opt.v,
+                  opt._buf):
+            assert a.dtype == np.float32
+        assert opt.params is pol.params
+        # the inference snapshot of the trained actor keeps its bits
+        snap = PolicySnapshot(pol)
+        assert snap.actor.flat.dtype == np.float32
+        assert snap.actor.flat.tobytes() == pol.actor.flat.tobytes()
 
     def test_divergence_guard(self):
         pol = make_policy()
