@@ -12,7 +12,7 @@ import cfee.harness
 from cfee.cli import main
 from cfee.config import SystemConfig
 from cfee.harness import (ENV_TYPES, SCHEMES, LoadedPolicy, bench_runtime,
-                          default_grid, evaluate_policy, grid_oracle,
+                          build_policy, default_grid, evaluate_policy, grid_oracle,
                           grid_oracle_one, held_out_scenarios,
                           latency_growth_exponent, load_config, load_policy,
                           parse_grid, policy_action, policy_features,
@@ -22,7 +22,8 @@ from cfee.alloc import Action, KAPPA_BOUNDS, NU_BOUNDS, ZETA_BOUNDS, realize
 from cfee.env import CellFreeEnv, batch_rewards
 from cfee.netgen import Scenario, generate_scenario, save_scenario
 from cfee.perf import evaluate
-from cfee.ppo import PolicySnapshot, PpoHyper, load_checkpoint
+from cfee.nets import init_mlp
+from cfee.ppo import HIDDEN_SIZES, PolicySnapshot, PpoHyper, load_checkpoint
 
 
 @pytest.fixture
@@ -450,6 +451,15 @@ class TestFloat32Inference:
         after = [lp.policy.deterministic_action(f) for f in feats]
         assert np.array_equal(before, after)
         assert lp.policy.actor.flat.dtype == np.float32
+
+    def test_fresh_actor_rounds_float64_draws(self):
+        # init_mlp's float64 stream, rounded once: an untrained policy
+        # decides as it did when training ran in float64
+        policy = build_policy("proposed", 50, np.random.default_rng(8))
+        ref = init_mlp((50, *HIDDEN_SIZES, 3), np.random.default_rng(8),
+                       final_scale=0.01)
+        assert policy.actor.flat.tobytes() == \
+            ref.flat.astype(np.float32).tobytes()
 
     def test_given_snapshot_is_kept(self, trained):
         ckpt, _ = trained

@@ -74,6 +74,16 @@ class TestForward:
         y32 = forward(p32, x)
         assert y32.dtype == np.float32
         assert np.allclose(y32, y, rtol=1e-5, atol=1e-5)
+        # backward too: a float64 output gradient is rounded once, and the
+        # last layer's gradient is float32 arithmetic, bit for bit
+        _, cache = forward_cache(p32, x)
+        g = rng.normal(size=(5, 3))
+        grad = backward(p32, cache, g)
+        assert grad.dtype == np.float32
+        gw, gb = p32.views(grad)
+        g32, hidden = g.astype(np.float32), cache[0][1]
+        assert gw[-1].tobytes() == (g32.T @ hidden).tobytes()
+        assert gb[-1].tobytes() == g32.sum(axis=0).tobytes()
         # the parameters are a copy of the arrays given
         p.flat[:] = 0.0
         assert np.array_equal(forward(p32, x), y32)
@@ -158,9 +168,9 @@ class TestOptimizers:
         tiny = float(np.finfo(dtype).tiny)
         end = 0.1 * 0.9 ** 1000  # m / g after the last step
         g0 = np.array([1.0, -0.3, 2.0, *(tiny / end * np.array(
-            [0.5, -1e-3, 20.0, -3e-5]))]).astype(dtype)
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=g0.size).astype(dtype)
+            [0.7, -1e-3, 20.0, -3e-5]))]).astype(dtype)
+        # parameters from 0, so a changed last bit of an early update shows
+        x = np.zeros(g0.size, dtype=dtype)
         ref = x.copy()
         opt = Adam(x, lr=1e-2)
         m, v = np.zeros_like(x), np.zeros_like(x)
