@@ -159,7 +159,9 @@ class Adam:
         half an ulp of any nonzero weight, so the parameters keep their
         bits; but once a gradient entry stays 0 (a dead ReLU unit),
         m *= beta1 would walk it through the subnormal range, where
-        arithmetic runs several times slower."""
+        arithmetic runs several times slower. Entries of v below it are
+        set to 0 too: sqrt(v) < 1e-19 is absorbed by eps, and v >= 0
+        needs no abs."""
         self.t += 1
         b1, b2, buf = self.beta1, self.beta2, self._buf
         root_c2 = math.sqrt(1 - b2 ** self.t)
@@ -174,6 +176,7 @@ class Adam:
         buf *= 1 - b2
         self.v *= b2
         self.v += buf
+        self.v[self.v < self._tiny] = 0.0
         # params -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
         np.sqrt(self.v, out=buf)
         buf += self.eps * root_c2

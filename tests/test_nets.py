@@ -161,14 +161,17 @@ class TestOptimizers:
             np.testing.assert_allclose(x, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_flushes_decaying_first_moment(self, dtype):
+    def test_flushes_decaying_moments(self, dtype):
         # one gradient, then 1,000 zero gradients (a unit that died): m
-        # decays by beta1 a step, and the entries scaled to end near the
-        # smallest normal float would end subnormal without the flush
+        # and v decay by beta1 and beta2 a step, and the entries scaled to
+        # end near the smallest normal float would end subnormal without
+        # the flush
         tiny = float(np.finfo(dtype).tiny)
-        end = 0.1 * 0.9 ** 1000  # m / g after the last step
-        g0 = np.array([1.0, -0.3, 2.0, *(tiny / end * np.array(
-            [0.7, -1e-3, 20.0, -3e-5]))]).astype(dtype)
+        end_m = 0.1 * 0.9 ** 1000  # m / g after the last step
+        end_v = 0.001 * 0.999 ** 1000  # v / g^2
+        g0 = np.array([1.0, -0.3, 2.0, *(tiny / end_m * np.array(
+            [0.7, -1e-3, 20.0, -3e-5])), *np.sqrt(tiny / end_v * np.array(
+                [0.5, 0.01]))]).astype(dtype)
         # parameters from 0, so a changed last bit of an early update shows
         x = np.zeros(g0.size, dtype=dtype)
         ref = x.copy()
@@ -188,7 +191,8 @@ class TestOptimizers:
 
         def subnormal(a):
             return np.count_nonzero((a != 0) & (np.abs(a) < tiny))
-        assert subnormal(m) > 0  # the reference's m did go subnormal
+        # the reference's m and v did go subnormal
+        assert subnormal(m) > 0 and subnormal(v) > 0
         assert subnormal(opt.m) == 0 and subnormal(opt.v) == 0
         assert x.dtype == ref.dtype == dtype
         assert np.array_equal(x, ref)
