@@ -137,6 +137,8 @@ def backward(params: MlpParams, cache, grad_out: np.ndarray,
 class Adam:
     """Adam over one parameter vector, updated in place in its dtype."""
 
+    FLUSH_EVERY = 32  # steps between flushes of the moments
+
     def __init__(self, params: np.ndarray, lr: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
@@ -144,7 +146,6 @@ class Adam:
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._buf = np.empty_like(params)  # work buffer reused by every step
-        self._tiny = np.finfo(params.dtype).tiny  # smallest normal float
         self.t = 0
 
     def step(self, grad: np.ndarray):
@@ -152,16 +153,8 @@ class Adam:
         textbook lr * mhat / (sqrt(vhat) + eps), its bias corrections
         c1 = 1 - beta1^t and c2 = 1 - beta2^t folded into two Python
         floats (a NumPy float64 scalar would run float32 vectors through
-        float64 loops and casts).
-
-        Entries of m below the smallest normal float are set to 0. Such an
-        entry moves its parameter by at most lr * tiny / eps, far below
-        half an ulp of any nonzero weight, so the parameters keep their
-        bits; but once a gradient entry stays 0 (a dead ReLU unit),
-        m *= beta1 would walk it through the subnormal range, where
-        arithmetic runs several times slower. Entries of v below it are
-        set to 0 too: sqrt(v) < 1e-19 is absorbed by eps, and v >= 0
-        needs no abs."""
+        float64 loops and casts). Every FLUSH_EVERY steps, `flush` sets
+        the moments' near-subnormal entries to 0."""
         self.t += 1
         b1, b2, buf = self.beta1, self.beta2, self._buf
         root_c2 = math.sqrt(1 - b2 ** self.t)
@@ -169,20 +162,38 @@ class Adam:
         np.multiply(grad, 1 - b1, out=buf)
         self.m *= b1
         self.m += buf
-        np.abs(self.m, out=buf)
-        self.m[buf < self._tiny] = 0.0
         # v = b2 * v + (1 - b2) * g * g
         np.multiply(grad, grad, out=buf)
         buf *= 1 - b2
         self.v *= b2
         self.v += buf
-        self.v[self.v < self._tiny] = 0.0
         # params -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
         np.sqrt(self.v, out=buf)
         buf += self.eps * root_c2
         np.divide(self.m, buf, out=buf)
         buf *= self.lr * root_c2 / (1 - b1 ** self.t)
         self.params -= buf
+        if self.t % self.FLUSH_EVERY == 0:
+            self.flush()
+
+    def flush(self):
+        """Set to 0 the entries of m below 2 * tiny / beta1^FLUSH_EVERY,
+        and of v below 2 * tiny / beta2^FLUSH_EVERY (tiny: the smallest
+        normal float). A kept entry stays above 2 * tiny through
+        FLUSH_EVERY steps of pure decay, so none turns subnormal before
+        the next flush; the factor 2 covers rounding.
+
+        Once a gradient entry stays 0 (a dead ReLU unit), m *= beta1 and
+        v *= beta2 would walk its moments through the subnormal range,
+        where arithmetic runs several times slower. A flushed entry of m
+        moves its parameter by at most about 60 * lr * tiny / eps, far
+        below half an ulp of any nonzero weight, and sqrt(v) < 1e-18 is
+        absorbed by eps, so the parameters keep their bits."""
+        n = self.FLUSH_EVERY
+        floor = 2.0 * float(np.finfo(self.m.dtype).tiny)
+        np.abs(self.m, out=self._buf)
+        self.m[self._buf < floor / self.beta1 ** n] = 0.0
+        self.v[self.v < floor / self.beta2 ** n] = 0.0  # v >= 0: no abs
 
 
 @dataclass

@@ -170,13 +170,16 @@ class TestOptimizers:
         end_m = 0.1 * 0.9 ** 1000  # m / g after the last step
         end_v = 0.001 * 0.999 ** 1000  # v / g^2
         g0 = np.array([1.0, -0.3, 2.0, *(tiny / end_m * np.array(
-            [0.7, -1e-3, 20.0, -3e-5])), *np.sqrt(tiny / end_v * np.array(
-                [0.5, 0.01]))]).astype(dtype)
+            [0.7, -1e-3, 20.0, 80.0, -3e-5])), *np.sqrt(tiny / end_v * np.array(
+                [0.5, 0.01, 1.2]))]).astype(dtype)
         # parameters from 0, so a changed last bit of an early update shows
         x = np.zeros(g0.size, dtype=dtype)
         ref = x.copy()
         opt = Adam(x, lr=1e-2)
         m, v = np.zeros_like(x), np.zeros_like(x)
+
+        def subnormal(a):
+            return np.count_nonzero((a != 0) & (np.abs(a) < tiny))
         for t in range(1, 1002):
             grad = g0 if t == 1 else np.zeros_like(g0)
             opt.step(grad)
@@ -188,12 +191,15 @@ class TestOptimizers:
             root_c2 = math.sqrt(1 - 0.999 ** t)
             ref -= (m / (np.sqrt(v) + 1e-8 * root_c2)
                     * (1e-2 * root_c2 / (1 - 0.9 ** t)))
-
-        def subnormal(a):
-            return np.count_nonzero((a != 0) & (np.abs(a) < tiny))
-        # the reference's m and v did go subnormal
+            # flushed every 32 steps, with a margin: once flushed, no
+            # entry decays into the subnormal range between flushes
+            if t >= Adam.FLUSH_EVERY:
+                assert subnormal(opt.m) == 0 and subnormal(opt.v) == 0
+        # the reference's m and v did go subnormal; the entries above the
+        # threshold at the last flush, 9 steps before the end, were kept
         assert subnormal(m) > 0 and subnormal(v) > 0
-        assert subnormal(opt.m) == 0 and subnormal(opt.v) == 0
+        kept = np.abs(m) / 0.9 ** 9 >= 2 * tiny / 0.9 ** 32
+        assert np.any(kept) and np.array_equal(opt.m[kept], m[kept])
         assert x.dtype == ref.dtype == dtype
         assert np.array_equal(x, ref)
 
