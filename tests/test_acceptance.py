@@ -1,6 +1,6 @@
 # Acceptance gate: one test per criterion, named test_criterion_XX_*, so a
 # verbose pytest run shows one pass/fail line per criterion. Criterion 8
-# (full scale, about 5 minutes on 2 vCPUs) only runs when CFEE_FULL_SCALE=1
+# (full scale, about 2 minutes on 2 vCPUs) only runs when CFEE_FULL_SCALE=1
 # is set.
 import csv
 import os
@@ -192,7 +192,7 @@ def test_criterion_07_benchmark_ordering(proposed_runs, held_out, run_dir):
 
 
 @pytest.mark.skipif(os.environ.get("CFEE_FULL_SCALE") != "1",
-                    reason="full-scale smoke takes about 5 minutes; "
+                    reason="full-scale smoke takes about 2 minutes; "
                            "set CFEE_FULL_SCALE=1 to run")
 def test_criterion_08_full_scale_smoke(tmp_path):
     cfg = SystemConfig(M=40, K=20, N=20, tau_p=20)
