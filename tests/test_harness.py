@@ -12,8 +12,8 @@ import cfee.harness
 from cfee.cli import main
 from cfee.config import SystemConfig
 from cfee.harness import (ENV_TYPES, SCHEMES, LoadedPolicy, bench_runtime,
-                          build_policy, default_grid, evaluate_policy, grid_oracle,
-                          grid_oracle_one, held_out_scenarios,
+                          build_policy, default_grid, evaluate_policy,
+                          grid_oracle, grid_oracle_one, held_out_scenarios,
                           latency_growth_exponent, load_config, load_policy,
                           parse_grid, policy_action, policy_features,
                           scheme_action, scheme_bounds, scheme_coeffs,

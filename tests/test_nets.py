@@ -169,9 +169,9 @@ class TestOptimizers:
         tiny = float(np.finfo(dtype).tiny)
         end_m = 0.1 * 0.9 ** 1000  # m / g after the last step
         end_v = 0.001 * 0.999 ** 1000  # v / g^2
-        g0 = np.array([1.0, -0.3, 2.0, *(tiny / end_m * np.array(
-            [0.7, -1e-3, 20.0, 80.0, -3e-5])), *np.sqrt(tiny / end_v * np.array(
-                [0.5, 0.01, 1.2]))]).astype(dtype)
+        m_ends = tiny / end_m * np.array([0.7, -1e-3, 20.0, 80.0, -3e-5])
+        v_ends = np.sqrt(tiny / end_v * np.array([0.5, 0.01, 1.2]))
+        g0 = np.array([1.0, -0.3, 2.0, *m_ends, *v_ends]).astype(dtype)
         # parameters from 0, so a changed last bit of an early update shows
         x = np.zeros(g0.size, dtype=dtype)
         ref = x.copy()
